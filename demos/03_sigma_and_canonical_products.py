@@ -6,9 +6,11 @@ Every near-lattice point set carries an entire function vanishing
 exactly on it, built as a Weierstrass-type product. All evaluation is
 done in log form (log magnitude + phase) so the Gaussian-sized factors
 never overflow. For the unperturbed lattice the product is the
-classical sigma function; its weighted modulus at the critical
-parameter is doubly periodic, which is the engine behind the growth
-bounds.
+classical sigma function, evaluated in closed form from a Jacobi theta
+series; its weighted modulus at the critical parameter is doubly
+periodic, which is the engine behind the growth bounds. A perturbed
+set's product is sigma times a finite product of ratios, one per
+displaced or missing point.
 """
 
 import math
@@ -27,19 +29,19 @@ from fockspace import (
 from fockspace.canonical import gfun_derivative_at_node, gfun_log
 
 lat = SquareLattice(1.0)
-M = 25
 
 # sigma vanishes exactly on the lattice: an exact zero is encoded as
-# log magnitude -inf.
-v = sigma_log(lat, lat.point(3, -2), M)
+# log magnitude -inf. sigma has no truncation to choose.
+v = sigma_log(lat, lat.point(3, -2))
 print("sigma at the lattice point (3,-2):", v.log_mag, "(exact zero)")
-v = sigma_log(lat, 0.5 + 0.5j, M)
+v = sigma_log(lat, 0.5 + 0.5j)
 print("sigma at the deep cell point 0.5+0.5i:", v.to_complex())
 
 # Quasi-period constants: shifting by one spacing multiplies sigma by
-# a controlled exponential. The two constants satisfy a Legendre-type
-# relation that makes the weighted modulus periodic at critical alpha.
-eta1, eta2 = quasi_period_constants(lat, M)
+# a controlled exponential. The two constants, pi/s and -i*pi/s, satisfy
+# a Legendre-type relation that makes the weighted modulus periodic at
+# critical alpha.
+eta1, eta2 = quasi_period_constants(lat)
 print("quasi-period constants:")
 print("  eta1 =", eta1)
 print("  eta2 =", eta2)
@@ -49,15 +51,17 @@ alpha_crit = math.pi
 print("weighted modulus e^{-pi|z|^2/2}|sigma(z)| over one period:")
 z0 = 0.31 + 0.17j
 for p in (0.0, 1.0, 1.0j, 3.0 + 2.0j):
-    lg = sigma_log(lat, z0 + p, M)
+    lg = sigma_log(lat, z0 + p)
     wm = math.exp(lg.log_mag - alpha_crit * abs(z0 + p) ** 2 / 2)
     print(f"  at z0 + {p}: {wm:.15f}")
 
 # A canonical product generalizes sigma to perturbed zero sets: linear
 # factors use the actual zeros, the quadratic convergence exponents
-# keep the lattice sites.
+# keep the lattice sites. The truncation index (here 25) is the shell
+# up to which the set's own points replace the lattice sites; the
+# product is evaluated for |z| < 26 spacings.
 gamma = perturb(square_lattice(1.0, 25.0), 0.2, seed=7)
-cp = canonical_product(gamma, lat, M)
+cp = canonical_product(gamma, lat, 25)
 node = gamma.points[
     np.flatnonzero((gamma.indices[:, 0] == 2) & (gamma.indices[:, 1] == 1))
 ][0]

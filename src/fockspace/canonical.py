@@ -11,30 +11,34 @@ matched lattice sites, ``z00`` the point closest to the origin, and the
 prime skips its index. Note the mixed convention: the linear factors use
 the true points while the quadratic exponent keeps the lattice site.
 
-Everything is evaluated in log form. Products are truncated at shell
-index ``M`` (factors with ``max(|m|,|n|) <= M``) and the skipped shells
-are restored by a series correction: the tail of the regularized product
-is ``-sum_{j>=3} z^j/j * sum_{|lambda| beyond} lambda^{-j}``, and for a
-square lattice the inner sums vanish unless ``j`` is a multiple of 4.
-The surviving lattice sums are precomputed per shell with a fitted
-Hurwitz-zeta tail, which brings the truncation error down to the
-1e-12 scale the tolerances here need; the first neglected series term
-(order 24) is the reported truncation diagnostic. Beyond the shells
-where actual points are known, the zero set is completed by the lattice
-itself, which is also what the correction series assumes.
+Both are evaluated in closed form. For spacing ``s`` the periods are
+``s`` and ``is``, the quasi-period constants are ``eta1 = pi/s`` and
+``eta2 = -i pi/s``, and (DLMF 23.6, nome ``q = exp(-pi)``)
+
+    sigma(z) = (s/pi) exp(pi z^2 / (2 s^2)) theta_1(pi z/s, q) / theta_1'(0, q),
+
+summed as an 8-term theta series after the argument is reduced to the
+fundamental cell by the quasi-period law. The product then differs from
+``sigma * (z - z00)/z`` by a finite product of ratios, one for each
+index of shell ``max(|m|,|n|) <= M`` (the truncation index) where the
+set differs from the lattice: a displaced point ``p`` at site ``lambda``
+contributes ``(1 - z/p) exp(z/p) / ((1 - z/lambda) exp(z/lambda))`` (the
+quadratic exponents cancel), and a lattice site carrying no zero of g
+(a removed interior point, or the site of ``z00``) contributes
+``1 / ((1 - z/lambda) exp(z/lambda + z^2/(2 lambda^2)))``. Beyond shell
+M and beyond the window the zero set is completed by the lattice
+itself, which sigma already carries. Everything is evaluated in log
+form, and exact zeros stay exact.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.special import zeta
 
 from .errors import (
-    InconsistentProbes,
     NodeIndexMissing,
     NotUniformlyClose,
     PointNotInSet,
@@ -55,205 +59,96 @@ __all__ = [
     "growth_check",
 ]
 
-# Only exponents divisible by 4 survive the square-lattice symmetry.
-_CORRECTION_ORDERS = (4, 8, 12, 16, 20)
-_DIAGNOSTIC_ORDER = 24
-_RESIDUAL_TOL = 1e-12
-_PROBES = (0.1 + 0.2j, 0.25 - 0.15j, -0.3 + 0.05j)
-# Power-series order for factors in shells beyond 2|z|/spacing, where
-# |z/node| <= 1/2; the neglected remainder is below 2^-60 per factor.
+# theta_1(v, q) / (2 q^(1/4)) = sum_n (-1)^n q^(n(n+1)) sin((2n+1) v) at
+# q = exp(-pi); on the fundamental cell |Im v| <= pi/2, so the terms past
+# n = 3 are below 1e-21 of the first.
+_THETA_ORDERS = 2.0 * np.arange(8) + 1.0
+_THETA_COEFFS = np.array([(-1.0) ** n * math.exp(-math.pi * n * (n + 1)) for n in range(8)])
+_THETA_SLOPE = float(np.sum(_THETA_COEFFS * _THETA_ORDERS))
+# Power-series order for ratios in shells beyond 2|z|/spacing, where
+# |z/point| <= 1/2; the neglected remainder is below 2^-60 per ratio.
 _SERIES_ORDER = 60
+# cells (points x ratios) per near-field block, which keeps the block's
+# temporaries at a few tens of MB on large grids
+_CHUNK_CELLS = 2_000_000
 
 
-@lru_cache(maxsize=None)
-def _ring(k: int) -> np.ndarray:
-    """Unit-lattice shell {m+in : max(|m|,|n|) = k}, fixed order."""
-    ms = np.arange(-k, k + 1, dtype=np.float64)
-    inner = ms[1:-1]
-    return np.concatenate(
-        [ms + 1j * k, ms - 1j * k, -k + 1j * inner, k + 1j * inner]
-    ).astype(np.complex128)
+def _check_M(M) -> None:
+    if M is not None and int(M) < 1:
+        raise ValidationError("M must be a positive integer")
 
 
-@lru_cache(maxsize=None)
-def _unit_lattice_shells(M: int) -> np.ndarray:
-    """Unit-lattice points with shell index 1..M, shell-ordered."""
-    return np.concatenate([_ring(k) for k in range(1, M + 1)])
-
-
-@lru_cache(maxsize=None)
-def _unit_tail_sums(M: int):
-    """Skipped-shell power sums T_j(M) = sum_{k>M} sum_{ring k} lambda^-j.
-
-    Shells up to K are summed directly; the remainder is captured by a
-    least-squares model S_j(k)*k^(j-1) ~ a0 + a1/k + a2/k^2 + a3/k^3
-    over the last 40 computed shells, whose tail sums are Hurwitz zeta
-    values. Accuracy is at rounding level (validated against the exact
-    order-4 lattice sum of the unit square lattice).
-    """
-    K = max(300, M + 60)
-    sums = {}
-    for j in _CORRECTION_ORDERS + (_DIAGNOSTIC_ORDER,):
-        p = float(j)
-        shell_vals = np.array(
-            [np.sum(_ring(k) ** (-p)).real for k in range(M + 1, K + 1)]
-        )
-        partial = float(np.sum(shell_vals))
-        ks = np.arange(K - 39, K + 1, dtype=np.float64)
-        scaled = np.array(
-            [np.sum(_ring(int(k)) ** (-p)).real * k ** (j - 1) for k in ks]
-        )
-        design = np.vstack([np.ones_like(ks), 1 / ks, 1 / ks**2, 1 / ks**3]).T
-        coef, *_ = np.linalg.lstsq(design, scaled, rcond=None)
-        tail = sum(coef[i] * zeta(j - 1 + i, K + 1) for i in range(4))
-        sums[j] = partial + float(tail)
-    return sums
-
-
-def _check_truncation(rho: np.ndarray, M: int):
-    """Raise if the post-correction truncation residual is above 1e-12.
-
-    ``rho`` is ``|z|/spacing``. The residual of the correction series is
-    estimated by its first neglected term (order 24) with a geometric
-    factor for the remaining orders; the series requires ``rho < M+1``.
-    """
+def _check_truncation(rho: np.ndarray, M: int) -> None:
+    """Raise if ``rho = |z|/spacing`` reaches the truncation index plus one."""
     top = float(np.max(rho)) if np.size(rho) else 0.0
     if top >= M + 1:
         raise TruncationTooSmall(
             f"evaluation radius {top:.3g} spacings exceeds the truncation "
             f"index {M}; increase M to at least {math.ceil(2 * top + 20)}"
         )
-    t24 = _unit_tail_sums(M)[_DIAGNOSTIC_ORDER]
-    geo = 1.0 - (top / (M + 1)) ** 4
-    est = top**_DIAGNOSTIC_ORDER * abs(t24) / _DIAGNOSTIC_ORDER / geo
-    if est > _RESIDUAL_TOL:
-        raise TruncationTooSmall(
-            f"estimated truncation residual {est:.3g} exceeds "
-            f"{_RESIDUAL_TOL:g} at radius {top:.3g} spacings; increase M "
-            f"to at least {math.ceil(2 * top + 20)}"
-        )
-    return est
 
 
-def _tail_correction(z_over_s: np.ndarray, M: int) -> np.ndarray:
-    """Log contribution of all shells beyond M, as a complex array."""
-    sums = _unit_tail_sums(M)
-    out = np.zeros_like(z_over_s)
-    for j in _CORRECTION_ORDERS:
-        out = out - z_over_s ** float(j) * (sums[j] / j)
-    return out
+def _sigma_parts(spacing: float, zs: np.ndarray):
+    """Split log sigma(z) as ``log(w) + rest`` over an array of points.
 
-
-def _sigma_raw_log(spacing: float, M: int, zs: np.ndarray) -> np.ndarray:
-    """Complex log of the truncated-and-corrected lattice product.
-
-    No quasi-period reduction is applied; accuracy degrades as |z| grows,
-    which the truncation diagnostic enforces.
+    Returns ``(lambda, w, rest)``: ``lambda`` is the nearest lattice
+    site, ``w = z - lambda``, and ``rest`` is finite everywhere: at ``w = 0`` it is ``log sigma'(lambda)``
+    (the quasi-period law at w = 0, with sigma'(0) = 1). Phases are not
+    reduced.
     """
-    zs = np.asarray(zs, dtype=np.complex128)
-    _check_truncation(np.abs(zs) / spacing, M)
-    lam = _unit_lattice_shells(M) * spacing
-    u = zs[:, None] / lam[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.log(1.0 - u) + u + 0.5 * u * u
-        lead = np.log(zs)
-    return lead + np.sum(terms, axis=1) + _tail_correction(zs / spacing, M)
-
-
-def _quasi_constants(spacing: float, M: int):
-    probes = np.array(_PROBES, dtype=np.complex128) * spacing
     s = spacing
-
-    def eta_from(period, half):
-        vals = []
-        for z in probes:
-            pair = _sigma_raw_log(s, M, np.array([z + period, z]))
-            diff = pair[0] - pair[1] - 1j * math.pi
-            diff = complex(diff.real, float(reduce_phase(diff.imag)))
-            vals.append(diff / (z + half))
-        return np.array(vals)
-
-    e1 = eta_from(s, s / 2)
-    e2 = eta_from(1j * s, 1j * s / 2)
-    eta1 = complex(np.mean(e1))
-    eta2 = complex(np.mean(e2))
-    scale = max(1.0, abs(eta1))
-    spread = max(float(np.max(np.abs(e1 - eta1))), float(np.max(np.abs(e2 - eta2))))
-    if spread > 1e-10 * scale:
-        raise InconsistentProbes(
-            f"quasi-period probes disagree by {spread:.3g}; increase M"
-        )
-    if abs(eta2 + 1j * eta1) > 1e-10 * scale:
-        raise InconsistentProbes(
-            "quasi-period constants break the quarter-turn symmetry "
-            f"eta2 = -i*eta1 by {abs(eta2 + 1j * eta1):.3g}"
-        )
-    legendre = eta1 * (1j * s) - eta2 * s - 2j * math.pi
-    if abs(legendre) > 1e-10:
-        raise InconsistentProbes(
-            f"Legendre-type relation residual {abs(legendre):.3g} exceeds 1e-10"
-        )
-    return eta1, eta2
-
-
-@lru_cache(maxsize=None)
-def _quasi_constants_cached(spacing: float, M: int):
-    return _quasi_constants(spacing, M)
-
-
-def quasi_period_constants(lattice: SquareLattice, M: int):
-    """Constants eta1, eta2 of the lattice translation law.
-
-    They are defined by ``sigma(z+s) = -sigma(z) exp(eta1 (z + s/2))``
-    and ``sigma(z+is) = -sigma(z) exp(eta2 (z + is/2))`` and computed
-    from raw truncated products at three probe points each. The probe
-    spread, the quarter-turn symmetry ``eta2 = -i eta1``, and the
-    Legendre-type relation ``eta1 (is) - eta2 s = 2 pi i`` are all
-    verified to 1e-10 before the values are returned.
-
-    Raises
-    ------
-    InconsistentProbes
-        If any of the three consistency checks fails.
-    TruncationTooSmall
-        If M is too small for accurate probes.
-    """
-    if int(M) < 1:
-        raise ValidationError("M must be a positive integer")
-    return _quasi_constants_cached(lattice.spacing, int(M))
-
-
-def sigma_log(lattice: SquareLattice, z: complex, M: int) -> LogComplex:
-    """Log form of the lattice sigma function at ``z``.
-
-    The argument is first reduced to the fundamental cell centered at
-    the origin with the quasi-period law (constants from
-    :func:`quasi_period_constants`), then the truncated, tail-corrected
-    product is evaluated. Lattice points return an exact zero.
-
-    Raises
-    ------
-    TruncationTooSmall
-        If the truncation diagnostic exceeds 1e-12.
-    """
-    if int(M) < 1:
-        raise ValidationError("M must be a positive integer")
-    M = int(M)
-    s = lattice.spacing
-    z = complex(z)
-    k = int(np.rint(z.real / s))
-    l = int(np.rint(z.imag / s))
-    w = z - s * complex(k, l)
-    if w == 0:
-        return LogComplex(-math.inf, 0.0)
-    eta1, eta2 = quasi_period_constants(lattice, M)
-    raw = complex(_sigma_raw_log(s, M, np.array([w]))[0])
+    k = np.rint(zs.real / s)
+    l = np.rint(zs.imag / s)
+    site = s * (k + 1j * l)
+    w = zs - site
+    v = (math.pi / s) * w
+    theta = sum(c * np.sin(n * v) for n, c in zip(_THETA_ORDERS, _THETA_COEFFS))
+    # below |v| = 1e-9, theta_1(v)/v is theta_1'(0) to rounding, and the
+    # division would lose digits on subnormal v
+    small = np.abs(v) < 1e-9
+    theta_over_v = np.where(small, _THETA_SLOPE, theta / np.where(small, 1.0, v))
+    eta1, eta2 = math.pi / s, -1j * math.pi / s
     shift = (
         eta1 * k * (w + k * s / 2.0)
         + eta2 * l * (w + k * s + 1j * l * s / 2.0)
-        + 1j * math.pi * ((k + l) % 2)
+        + 1j * math.pi * np.mod(k + l, 2.0)
     )
-    total = raw + shift
+    rest = (math.pi / (2.0 * s * s)) * w * w + np.log(theta_over_v / _THETA_SLOPE) + shift
+    return site, w, rest
+
+
+def quasi_period_constants(lattice: SquareLattice, M: int | None = None):
+    """Constants eta1, eta2 of the lattice translation law.
+
+    They are defined by ``sigma(z+s) = -sigma(z) exp(eta1 (z + s/2))``
+    and ``sigma(z+is) = -sigma(z) exp(eta2 (z + is/2))``. For the square
+    lattice of spacing s they are ``pi/s`` and ``-i pi/s`` exactly, which
+    satisfy the quarter-turn symmetry ``eta2 = -i eta1`` and the
+    Legendre-type relation ``eta1 (is) - eta2 s = 2 pi i``.
+
+    ``M`` is deprecated and ignored; a value below 1 still raises
+    :class:`ValidationError`.
+    """
+    _check_M(M)
+    s = lattice.spacing
+    return complex(math.pi / s, 0.0), complex(0.0, -math.pi / s)
+
+
+def sigma_log(lattice: SquareLattice, z: complex, M: int | None = None) -> LogComplex:
+    """Log form of the lattice sigma function at ``z``.
+
+    The argument is reduced to the fundamental cell centered at the
+    origin with the quasi-period law, and sigma is summed there from its
+    Jacobi theta_1 closed form. Lattice points return an exact zero.
+
+    ``M`` is deprecated and ignored, since the closed form has no
+    truncation; a value below 1 still raises :class:`ValidationError`.
+    """
+    _check_M(M)
+    _, w, rest = _sigma_parts(lattice.spacing, np.array([complex(z)]))
+    if w[0] == 0:
+        return LogComplex(-math.inf, 0.0)
+    total = complex(np.log(w[0]) + rest[0])
     return LogComplex(total.real, total.imag)
 
 
@@ -276,50 +171,32 @@ class GrowthBoundFit:
     violations: int
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class CanonicalProduct:
-    """Truncated canonical product for a point set near a square lattice.
+    """Canonical product for a point set near a square lattice.
 
-    Use :func:`canonical_product` to build. Factors carry the actual
-    points at indices where the set provides them and lattice sites
-    elsewhere, up to shell ``truncation_index``; remaining shells enter
-    through the series correction.
+    Use :func:`canonical_product` to build. The product is sigma times
+    ``(z - z00)/z`` times one ratio per index of shell at most
+    ``truncation_index`` where the set differs from the lattice. A ratio
+    has a root (the displaced point, with slope 1; or root 1 and slope 0
+    for a lattice site that carries no zero) and its lattice site; the
+    ratios are shell-sorted, and ``_far_sums[k]`` holds the power-series
+    coefficients of the ratios from shell k on.
     """
 
-    __slots__ = (
-        "gamma",
-        "lattice",
-        "z00",
-        "z00_index",
-        "truncation_index",
-        "closeness_Q",
-        "separation_q",
-        "_nodes",
-        "_lambdas",
-        "_index_of",
-        "_shell_starts",
-        "_far_coeffs",
-        "_far_quad",
-    )
-
-    def __init__(self, gamma, lattice, z00, z00_index, truncation_index,
-                 closeness_Q, separation_q, nodes, lambdas, index_of,
-                 shell_starts, far_coeffs, far_quad):
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "z00", z00)
-        object.__setattr__(self, "z00_index", z00_index)
-        object.__setattr__(self, "truncation_index", truncation_index)
-        object.__setattr__(self, "closeness_Q", closeness_Q)
-        object.__setattr__(self, "separation_q", separation_q)
-        object.__setattr__(self, "_nodes", nodes)
-        object.__setattr__(self, "_lambdas", lambdas)
-        object.__setattr__(self, "_index_of", index_of)
-        object.__setattr__(self, "_shell_starts", shell_starts)
-        object.__setattr__(self, "_far_coeffs", far_coeffs)
-        object.__setattr__(self, "_far_quad", far_quad)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CanonicalProduct is immutable")
+    gamma: PointSet
+    lattice: SquareLattice
+    z00: complex
+    z00_index: tuple
+    truncation_index: int
+    closeness_Q: float
+    separation_q: float
+    _index_of: dict
+    _roots: np.ndarray
+    _slopes: np.ndarray
+    _sites: np.ndarray
+    _shell_starts: np.ndarray
+    _far_sums: np.ndarray
 
     def node_at(self, m: int, n: int) -> complex:
         """The point (or completing lattice site) at index (m, n)."""
@@ -368,48 +245,42 @@ def canonical_product(gamma: PointSet, lattice: SquareLattice, truncation_index:
     pos = int(np.lexsort((phases, absv))[0])
     z00 = complex(gamma.points[pos])
     z00_index = (int(gamma.indices[pos, 0]), int(gamma.indices[pos, 1]))
+    index_of = {(int(m), int(n)): i for i, (m, n) in enumerate(gamma.indices)}
 
-    # Factor table over the full index square: the set's own points where
-    # it provides them, lattice sites beyond the window's reach, nothing
-    # at interior indices the set genuinely lacks (removed points).
+    # Ratios: displaced points within shell M; then the lattice sites of
+    # the index square that carry no zero of g: interior sites the set
+    # lacks (removed points) and the site of z00, whose zero is the
+    # leading factor. Sites beyond the window's reach stay lattice zeros.
+    shells = np.max(np.abs(gamma.indices), axis=1)
+    inside = shells <= M
+    moved = inside & (gamma.points != sites)
+    moved[pos] = False
     side = np.arange(-M, M + 1, dtype=np.int64)
-    mm, nn = np.meshgrid(side, side)  # row-major in (n, m)
+    mm, nn = np.meshgrid(side, side)
     lambdas = s * (mm.astype(np.float64) + 1j * nn.astype(np.float64))
-    nodes = lambdas.copy()
-    present = np.zeros(nodes.shape, dtype=bool)
-    index_of = {}
-    for i, (m, n) in enumerate(map(tuple, gamma.indices)):
-        index_of[(int(m), int(n))] = i
-        if abs(m) <= M and abs(n) <= M:
-            nodes[n + M, m + M] = gamma.points[i]
-            present[n + M, m + M] = True
-    beyond = np.abs(lambdas) > gamma.window_radius - s / 2
-    keep = present | (beyond & (lambdas != 0))
+    bare = np.abs(lambdas) <= gamma.window_radius - s / 2
+    bare[gamma.indices[inside, 1] + M, gamma.indices[inside, 0] + M] = False
     m0, n0 = z00_index
-    if abs(m0) <= M and abs(n0) <= M:
-        keep[n0 + M, m0 + M] = False
+    if max(abs(m0), abs(n0)) <= M:
+        bare[n0 + M, m0 + M] = True
+    bare[M, M] = False  # the origin's zero is divided out by (z - z00)/z
 
-    # shell-sort the factors and precompute suffix power sums so that
-    # evaluation can treat far shells through a short series instead of
-    # one log per factor
-    shells = np.maximum(np.abs(mm), np.abs(nn))[keep].ravel()
-    order = np.argsort(shells, kind="stable")
-    nodes_s = nodes[keep].ravel()[order]
-    lambdas_s = lambdas[keep].ravel()[order]
-    shells_s = shells[order]
-    shell_starts = np.searchsorted(shells_s, np.arange(M + 2))
+    roots = np.concatenate([gamma.points[moved], np.ones(int(np.sum(bare)))])
+    slopes = np.concatenate([np.ones(int(np.sum(moved))), np.zeros(int(np.sum(bare)))])
+    ratio_sites = np.concatenate([sites[moved], lambdas[bare]])
+    ratio_shells = np.concatenate([shells[moved], np.maximum(np.abs(mm), np.abs(nn))[bare]])
+    order = np.argsort(ratio_shells, kind="stable")
+    roots, slopes, ratio_sites = roots[order], slopes[order], ratio_sites[order]
+    shell_starts = np.searchsorted(ratio_shells[order], np.arange(M + 2))
 
-    def suffix(values):
-        return np.concatenate([np.cumsum(values[::-1])[::-1], [0.0]])
-
+    # log of a ratio is -sum_{j>=2} z^j/j (root^-j - site^-j) with root^-j
+    # read as 0 at a bare site, whose j = 2 term the quadratic exponent
+    # cancels; suffix sums per shell let evaluation fold far shells in
     js = np.arange(2, _SERIES_ORDER + 1)
-    inv = 1.0 / nodes_s
-    powj = inv.copy()
-    far_coeffs = np.empty((M + 2, js.size), dtype=np.complex128)
-    for col, j in enumerate(js):
-        powj = powj * inv
-        far_coeffs[:, col] = -suffix(powj)[shell_starts] / float(j)
-    far_quad = suffix(0.5 / (lambdas_s * lambdas_s))[shell_starts]
+    inv_site = 1.0 / ratio_sites
+    terms = -((slopes / roots)[:, None] ** js - inv_site[:, None] ** js) / js
+    terms[:, 0] += (slopes - 1.0) * 0.5 * inv_site**2
+    suffix = np.concatenate([np.cumsum(terms[::-1], axis=0)[::-1], np.zeros((1, js.size))])
 
     return CanonicalProduct(
         gamma=gamma,
@@ -419,30 +290,72 @@ def canonical_product(gamma: PointSet, lattice: SquareLattice, truncation_index:
         truncation_index=M,
         closeness_Q=q_max,
         separation_q=sep,
-        nodes=nodes_s,
-        lambdas=lambdas_s,
-        index_of=index_of,
-        shell_starts=shell_starts,
-        far_coeffs=far_coeffs,
-        far_quad=far_quad,
+        _index_of=index_of,
+        _roots=roots,
+        _slopes=slopes,
+        _sites=ratio_sites,
+        _shell_starts=shell_starts,
+        _far_sums=suffix[shell_starts],
     )
+
+
+def _near_log(cp: CanonicalProduct, zs: np.ndarray, stop: int):
+    """Log of sigma * (z - z00)/z * the first ``stop`` ratios, and zero flags.
+
+    Where a linear factor vanishes its derivative stands in for it, so
+    at a zero of g the value is log g'(z). Where a ratio's site (or the
+    origin, under ``1/z``) is the lattice site nearest z, the ratio's
+    ``lambda - z`` cancels sigma's ``w = z - lambda`` to -1 exactly, so
+    no zero and no cancellation is left there. Phases are not reduced.
+    """
+    site, w, total = _sigma_parts(cp.lattice.spacing, zs)
+    divided = np.zeros(zs.shape, dtype=bool)
+    zero = np.zeros(zs.shape, dtype=bool)
+    if cp.z00 != 0:
+        lead = zs - cp.z00
+        divided |= site == 0
+        zero |= lead == 0
+        total = total + np.log(np.where(lead == 0, 1.0, lead)) - np.log(np.where(divided, 1.0, zs))
+    if stop:
+        roots = cp._roots[:stop]
+        slopes = cp._slopes[:stop]
+        sites = cp._sites[:stop]
+        num = roots - slopes * zs[:, None]
+        den = sites - zs[:, None]
+        at_root = num == 0
+        at_site = sites == site[:, None]
+        zero |= np.any(at_root, axis=1)
+        divided |= np.any(at_site, axis=1)
+        num[at_root] = -1.0
+        den[at_site] = -1.0
+        inv_site = 1.0 / sites
+        ratio = num / den * (sites / roots)
+        # log|.| and arg apart run an order of magnitude faster than a
+        # complex log, and the phase is only needed modulo 2 pi
+        total = (
+            total
+            + np.sum(np.log(np.abs(ratio)), axis=1)
+            + 1j * np.sum(np.angle(ratio), axis=1)
+            + zs * np.sum(slopes / roots - inv_site)
+            + (zs * zs) * np.sum((slopes - 1.0) * 0.5 * inv_site**2)
+        )
+    zero |= (w == 0) & ~divided
+    return total + np.log(np.where(divided | (w == 0), 1.0, w)), zero
 
 
 def _gfun_log_many(cp: CanonicalProduct, zs: np.ndarray) -> np.ndarray:
     """Complex log of g at many points (phase not yet reduced).
 
-    Factors in shells below ``2|z|/s`` are evaluated one log apiece;
-    the remaining shells enter through the precomputed power-sum series
-    (each such factor has ``|z/node| <= 1/2``), which keeps the cost
-    per point proportional to ``(|z|/s)^2`` instead of the full table.
+    Ratios in shells below ``2|z|/s`` are evaluated one log apiece; the
+    remaining shells enter through the precomputed power-sum series
+    (each such ratio has ``|z/root| <= 1/2``), so the cost per point
+    grows with ``(|z|/s)^2`` only where the set is displaced.
     """
     zs = np.asarray(zs, dtype=np.complex128).ravel()
     s = cp.lattice.spacing
     M = cp.truncation_index
     az = np.abs(zs)
     _check_truncation(az / s, M)
-    nodes = cp._nodes
-    lams = cp._lambdas
     out = np.empty(zs.shape, dtype=np.complex128)
     cuts = np.minimum(
         M + 1, np.ceil(2.0 * az / s + 0.5).astype(np.int64).clip(min=1)
@@ -450,31 +363,16 @@ def _gfun_log_many(cp: CanonicalProduct, zs: np.ndarray) -> np.ndarray:
     for k0 in np.unique(cuts):
         sel = np.flatnonzero(cuts == k0)
         stop = int(cp._shell_starts[k0])
-        near_nodes = nodes[:stop][None, :]
-        inv_l2 = (0.5 / (lams[:stop] * lams[:stop]))[None, :]
-        coeffs = cp._far_coeffs[k0]
-        chunk = max(1, int(2_000_000 // max(stop, 1)))
+        coeffs = cp._far_sums[k0]
+        chunk = max(1, _CHUNK_CELLS // max(stop, 1))
         for start in range(0, sel.size, chunk):
             idx = sel[start : start + chunk]
             part = zs[idx]
-            sq = (part * part)[:, None]
-            u = part[:, None] / near_nodes
-            # (node - z)/node rather than 1 - z/node: exact zero when z
-            # hits a node, no cancellation right next to one
-            lin = (near_nodes - part[:, None]) / near_nodes
-            with np.errstate(divide="ignore", invalid="ignore"):
-                terms = np.log(lin) + u + sq * inv_l2
-                lead = np.log(part - cp.z00)
+            near, zero = _near_log(cp, part, stop)
             acc = np.full(part.shape, coeffs[-1])
             for col in range(coeffs.size - 2, -1, -1):
                 acc = acc * part + coeffs[col]
-            far = (acc + cp._far_quad[k0]) * (part * part)
-            out[idx] = (
-                lead
-                + np.sum(terms, axis=1)
-                + far
-                + _tail_correction(part / s, M)
-            )
+            out[idx] = np.where(zero, -np.inf, near + acc * (part * part))
     return out
 
 
@@ -482,12 +380,12 @@ def gfun_log(cp: CanonicalProduct, z: complex) -> LogComplex:
     """Log form of the canonical product at ``z``.
 
     Exact zeros (log_mag = -inf) at the set's points and at the
-    lattice sites completing the truncation square.
+    lattice sites completing the zero set.
 
     Raises
     ------
     TruncationTooSmall
-        If the truncation diagnostic exceeds 1e-12 at this radius.
+        If ``|z|`` reaches ``truncation_index + 1`` spacings.
     """
     val = complex(_gfun_log_many(cp, np.array([complex(z)]))[0])
     if val.real == -math.inf or math.isnan(val.imag):
@@ -499,51 +397,29 @@ def gfun_derivative_at_node(cp: CanonicalProduct, node_index) -> LogComplex:
     """Log form of g'(z_mn) at a simple zero.
 
     At a simple zero the derivative is the product of all remaining
-    factors, so it is evaluated factor-by-factor in log form rather
-    than by differencing.
+    factors times the derivative of the vanishing one, so it is
+    evaluated in log form over every ratio rather than by differencing.
+    At an undisplaced node the vanishing factor is sigma's, and
+    sigma'(lambda) follows in closed form from the quasi-period law.
 
     Raises
     ------
     PointNotInSet
         If the index does not belong to the point set.
+    TruncationTooSmall
+        If the node lies outside the truncation square.
     """
     m, n = int(node_index[0]), int(node_index[1])
     if (m, n) not in cp._index_of:
         raise PointNotInSet(f"index ({m}, {n}) is not in the point set")
     zq = complex(cp.gamma.points[cp._index_of[(m, n)]])
-    s = cp.lattice.spacing
     M = cp.truncation_index
-    _check_truncation(np.abs(np.array([zq])) / s, M)
-    if (m, n) == cp.z00_index:
-        # g(z) = (z - z00) P(z) with P the primed product: g'(z00) = P(z00)
-        u = zq / cp._nodes
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = (
-                np.log((cp._nodes - zq) / cp._nodes)
-                + u
-                + (zq * zq) * (0.5 / (cp._lambdas**2))
-            )
-        total = np.sum(terms) + complex(_tail_correction(np.array([zq / s]), M)[0])
-        return LogComplex(total.real, total.imag)
-    if abs(m) > M or abs(n) > M:
+    _check_truncation(np.abs(np.array([zq])) / cp.lattice.spacing, M)
+    if max(abs(m), abs(n)) > M:
         raise TruncationTooSmall(
             f"node index ({m}, {n}) lies outside the truncation square M={M}"
         )
-    lam_q = cp.lattice.point(m, n)
-    u = zq / cp._nodes
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = (
-            np.log((cp._nodes - zq) / cp._nodes)
-            + u
-            + (zq * zq) * (0.5 / (cp._lambdas**2))
-        )
-    # drop this node's own vanishing factor; its derivative contributes
-    # -1/zq times the surviving exponential exp(1 + zq^2/(2 lam_q^2))
-    mask = cp._nodes != zq
-    total = np.sum(terms[mask])
-    total = total + np.log(zq - cp.z00)
-    total = total + np.log(-1.0 / zq) + 1.0 + (zq * zq) * (0.5 / (lam_q * lam_q))
-    total = total + complex(_tail_correction(np.array([zq / s]), M)[0])
+    total = complex(_near_log(cp, np.array([zq]), cp._roots.size)[0][0])
     return LogComplex(total.real, total.imag)
 
 
@@ -561,6 +437,12 @@ def growth_check(cp: CanonicalProduct, alpha: float, grid_radius: float, grid_st
     ``c``, so the reported triple satisfies both bounds at every grid
     point by construction. Periodic weighted moduli therefore fit with
     ``c`` at rounding level.
+
+    Raises
+    ------
+    ValidationError
+        If the parameters are out of range, or no grid point lies off
+        the zero set (the lower bound would have nothing to fit).
     """
     alpha = float(alpha)
     if alpha <= 0.0:
@@ -582,6 +464,11 @@ def growth_check(cp: CanonicalProduct, alpha: float, grid_radius: float, grid_st
     logs = _gfun_log_many(cp, zz)
     logw = logs.real - 0.5 * alpha * np.abs(zz) ** 2
     dist = nearest_distance(cp.gamma, zz)
+    if not np.any(dist > 0):
+        raise ValidationError(
+            "every grid point lies on the zero set; refine grid_step or "
+            "widen grid_radius"
+        )
     r = np.abs(zz)
     rr = np.maximum(r, 1.0)
     phi = rr * np.log(rr)

@@ -287,13 +287,10 @@ def _cmd_interpolate(args):
 def _cmd_sigma_grid(args):
     grid = _parse_grid(args.grid)
     lattice = SquareLattice(args.spacing)
-    rho = float(np.max(np.abs(grid))) / args.spacing
-    M = int(math.ceil(2.0 * rho)) + 20
-    logs = [sigma_log(lattice, complex(z), M) for z in grid]
-    eta1, eta2 = quasi_period_constants(lattice, M)
+    logs = [sigma_log(lattice, complex(z)) for z in grid]
+    eta1, eta2 = quasi_period_constants(lattice)
     results = {
         "spacing": args.spacing,
-        "truncation_index": M,
         "eta1": [eta1.real, eta1.imag],
         "eta2": [eta2.real, eta2.imag],
         "grid_points": int(grid.size),

@@ -56,11 +56,12 @@ class WindowTooSmall(ValidationError):
 
 
 class TruncationTooSmall(NumericalDiagnosticError):
-    """Product truncation leaves an estimated residual above tolerance."""
+    """A point lies beyond the truncation square of a canonical product.
 
-
-class InconsistentProbes(NumericalDiagnosticError):
-    """Quasi-period probe points disagree beyond tolerance."""
+    The product takes the set's points only up to shell M and completes
+    the zero set with the lattice beyond it, so it is evaluated only for
+    ``|z| < (M + 1) * spacing``.
+    """
 
 
 class NodeIndexMissing(ValidationError):

@@ -30,7 +30,7 @@ boundary lattice is neither a set of sampling nor one of interpolation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import gammaln
@@ -219,6 +219,7 @@ class InterpolationProblem:
         return math.pi / self.lattice_spacing**2
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class InterpolantEvaluator:
     """Evaluator of the explicit interpolation series.
 
@@ -230,25 +231,12 @@ class InterpolantEvaluator:
     the same nodes.
     """
 
-    __slots__ = (
-        "problem",
-        "truncation_radius",
-        "_nodes",
-        "_targets",
-        "_products",
-        "_cache",
-    )
-
-    def __init__(self, problem, truncation_radius, nodes, targets, products, cache=None):
-        object.__setattr__(self, "problem", problem)
-        object.__setattr__(self, "truncation_radius", truncation_radius)
-        object.__setattr__(self, "_nodes", nodes)
-        object.__setattr__(self, "_targets", targets)
-        object.__setattr__(self, "_products", products)
-        object.__setattr__(self, "_cache", {} if cache is None else cache)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("InterpolantEvaluator is immutable")
+    problem: InterpolationProblem
+    truncation_radius: float
+    _nodes: np.ndarray
+    _targets: np.ndarray
+    _products: list
+    _cache: dict = field(default_factory=dict)
 
     def _basis_logs(self, flat: np.ndarray):
         """Data-independent per-node term logs at the query points.
@@ -309,10 +297,10 @@ class InterpolantEvaluator:
         return InterpolantEvaluator(
             problem=problem,
             truncation_radius=self.truncation_radius,
-            nodes=self._nodes,
-            targets=targets,
-            products=self._products,
-            cache=self._cache,
+            _nodes=self._nodes,
+            _targets=targets,
+            _products=self._products,
+            _cache=self._cache,
         )
 
     def eval(self, z):
@@ -395,9 +383,9 @@ def build_interpolant(problem: InterpolationProblem, truncation_radius: float) -
     return InterpolantEvaluator(
         problem=problem,
         truncation_radius=truncation_radius,
-        nodes=nodes,
-        targets=targets,
-        products=products,
+        _nodes=nodes,
+        _targets=targets,
+        _products=products,
     )
 
 

@@ -44,10 +44,6 @@ __all__ = [
     "point_removal_experiment",
 ]
 
-_EIG_REL_TOL = 1e-8
-_EIG_MAX_ITER = 500_000
-
-
 @dataclass(frozen=True)
 class FrameEstimate:
     """Frame constants of a point set on a truncated test subspace.
@@ -113,38 +109,6 @@ def frame_matrix(gamma: PointSet, alpha: float, N: int) -> np.ndarray:
     return (S + S.conj().T) / 2.0
 
 
-def _power_largest(S: np.ndarray) -> float:
-    """Largest eigenvalue of a Hermitian PSD matrix by power iteration.
-
-    Fixed all-ones start; stops when the eigenpair residual is below
-    1e-8 relative, which bounds the eigenvalue error directly.
-    """
-    dim = S.shape[0]
-    v = np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128)
-    lam = 0.0
-    for _ in range(_EIG_MAX_ITER):
-        w = S @ v
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            return 0.0
-        v = w / norm_w
-        lam = float(np.real(np.vdot(v, S @ v)))
-        resid = float(np.linalg.norm(S @ v - lam * v))
-        if resid <= _EIG_REL_TOL * max(abs(lam), 1e-300):
-            break
-    return lam
-
-
-def _extremal_eigenvalues(S: np.ndarray):
-    """(smallest, largest) eigenvalues via power and shifted iteration."""
-    top = _power_largest(S)
-    if top == 0.0:
-        return 0.0, 0.0
-    shifted = top * np.eye(S.shape[0], dtype=np.complex128) - S
-    spread = _power_largest(shifted)
-    return max(0.0, top - spread), top
-
-
 def _degree_ladder(N: int):
     ladder = []
     for d in (N // 2, (3 * N) // 4, N):
@@ -177,8 +141,9 @@ def frame_bounds(gamma: PointSet, alpha: float, N: int, window_radius: float) ->
     effective = math.sqrt(N / alpha) + 4.0 / math.sqrt(alpha)
     table = []
     for d in _degree_ladder(N):
-        a_d, b_d = _extremal_eigenvalues(frame_matrix(gamma, alpha, d))
-        table.append((d, a_d, b_d))
+        # S is PSD: rounding alone can push its smallest eigenvalue below 0
+        eig = np.linalg.eigvalsh(frame_matrix(gamma, alpha, d))
+        table.append((d, max(0.0, float(eig[0])), float(eig[-1])))
     a_final, b_final = table[-1][1], table[-1][2]
     return FrameEstimate(
         A=a_final,

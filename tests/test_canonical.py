@@ -2,14 +2,14 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.special import gamma as gamma_fn
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fockspace.canonical import (
-    _ring,
-    _sigma_raw_log,
-    _unit_tail_sums,
+    _gfun_log_many,
     canonical_product,
     gfun_derivative_at_node,
     gfun_log,
@@ -20,7 +20,6 @@ from fockspace.canonical import (
 from fockspace.errors import (
     NodeIndexMissing,
     NotUniformlyClose,
-    NumericalDiagnosticError,
     PointNotInSet,
     TruncationTooSmall,
     ValidationError,
@@ -28,31 +27,126 @@ from fockspace.errors import (
 from fockspace.pointsets import PointSet, SquareLattice, perturb, square_lattice
 from fockspace.space import reduce_phase
 
-# half the side of the square of periods of the unit lattice sigma,
-# entering through the order-4 lattice sum: sum lambda^-4 = L^4 / 15
-LEMNISCATE = gamma_fn(0.25) ** 2 / math.sqrt(8.0 * math.pi)
+
+def sigma_oracle(z, s):
+    """log sigma(z) from mpmath's theta_1 at 30 digits (DLMF 23.6)."""
+    with mpmath.workdps(30):
+        zc = mpmath.mpc(z.real, z.imag)
+        q = mpmath.exp(-mpmath.pi)
+        val = (
+            (s / mpmath.pi)
+            * mpmath.exp(mpmath.pi * zc**2 / (2 * s**2))
+            * mpmath.jtheta(1, mpmath.pi * zc / s, q)
+            / mpmath.jtheta(1, 0, q, 1)
+        )
+        return float(mpmath.log(abs(val))), float(mpmath.arg(val))
 
 
-def shell_sum(j, M):
-    return sum(np.sum(_ring(k) ** (-float(j))).real for k in range(1, M + 1))
+def brute_log_g(gamma, s, K, zs):
+    """log g from its definition: mpmath sigma times a direct product.
+
+    Over every index of the square max(|m|,|n|) <= K the set's own factor
+    (its point if present, the lattice site if the index lies beyond the
+    window's reach, none otherwise or at z00's index) is divided by the
+    lattice factor, two logs apiece and no series.
+    """
+    pos = int(np.lexsort((np.angle(gamma.points), np.abs(gamma.points)))[0])
+    z00 = complex(gamma.points[pos])
+    own = {tuple(map(int, mn)): complex(p) for mn, p in zip(gamma.indices, gamma.points)}
+    pts, lams, lat_only = [], [], []
+    for m in range(-K, K + 1):
+        for n in range(-K, K + 1):
+            lam = s * complex(m, n)
+            if lam == 0:
+                continue
+            p = own.get((m, n))
+            if (m, n) == tuple(gamma.indices[pos]) or (
+                p is None and abs(lam) <= gamma.window_radius - s / 2
+            ):
+                lat_only.append(lam)
+            elif p is not None:
+                pts.append(p)
+                lams.append(lam)
+    pts, lams, lat_only = map(np.array, (pts, lams, lat_only))
+    out = []
+    for z in zs:
+        mag, ph = sigma_oracle(z, s)
+        total = complex(mag, ph) + np.log(z - z00) - np.log(z)
+        total += np.sum(np.log(1 - z / pts) + z / pts - np.log(1 - z / lams) - z / lams)
+        total -= np.sum(np.log(1 - z / lat_only) + z / lat_only + z * z / (2 * lat_only**2))
+        out.append(total)
+    return np.array(out)
 
 
-class TestTailSums:
-    def test_order_four_matches_closed_form(self):
-        g4 = LEMNISCATE**4 / 15.0
-        for M in (5, 20, 40):
-            tails = _unit_tail_sums(M)
-            assert abs(shell_sum(4, M) + tails[4] - g4) < 1e-13
+cells = st.integers(-4, 4)
+offsets = st.one_of(st.floats(-0.5, 0.5), st.floats(-1e-7, 1e-7))
 
-    def test_partial_plus_tail_independent_of_split(self):
-        for j in (4, 8, 12, 16, 20):
-            full_a = shell_sum(j, 10) + _unit_tail_sums(10)[j]
-            full_b = shell_sum(j, 30) + _unit_tail_sums(30)[j]
-            assert abs(full_a - full_b) <= 1e-14 * max(1.0, abs(full_a))
 
-    def test_tails_shrink_with_truncation(self):
-        assert abs(_unit_tail_sums(40)[4]) < abs(_unit_tail_sums(10)[4])
-        assert abs(_unit_tail_sums(40)[24]) < 1e-30
+class TestSigmaOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        s=st.sampled_from([1.0, 0.75, 1.632]),
+        k=cells,
+        l=cells,
+        x=offsets,
+        y=offsets,
+    )
+    def test_matches_mpmath_theta(self, s, k, l, x, y):
+        lat = SquareLattice(s)
+        site = lat.point(k, l)
+        assert sigma_log(lat, site).log_mag == -math.inf
+        z = complex(s * (k + x), s * (l + y))
+        got = sigma_log(lat, z)
+        if z == site:
+            assert got.log_mag == -math.inf
+            return
+        mag, ph = sigma_oracle(z, s)
+        # near a zero, sigma's condition number is |z|/|z - site|: a site
+        # s*(m+in) that is not a double (s = 1.632) is off by an ulp
+        tol = 1e-12 + 1e-15 * abs(z) / abs(z - site)
+        assert abs(got.log_mag - mag) <= tol * max(1.0, abs(mag))
+        assert abs(reduce_phase(got.phase - ph)) <= tol
+
+
+class TestBruteForceProduct:
+    def _check(self, gamma, s, M):
+        cp = canonical_product(gamma, SquareLattice(s), M)
+        rng = np.random.default_rng(17)
+        zs = rng.uniform(-4.5, 4.5, 12) + 1j * rng.uniform(-4.5, 4.5, 12)
+        got = _gfun_log_many(cp, zs)
+        want = brute_log_g(gamma, s, M, zs)
+        scale = np.maximum(1.0, np.abs(want.real))
+        assert np.all(np.abs(got.real - want.real) <= 1e-11 * scale)
+        assert np.all(np.abs(reduce_phase(got.imag - want.imag)) <= 1e-11 * scale)
+
+    def test_perturbed_set(self):
+        self._check(perturb(square_lattice(1.0, 8.0), 0.3, seed=21), 1.0, 30)
+
+    def test_removed_point(self):
+        gam = perturb(square_lattice(0.8, 8.0), 0.2, seed=4)
+        keep = ~((gam.indices[:, 0] == 2) & (gam.indices[:, 1] == -1))
+        keep &= ~((gam.indices[:, 0] == 0) & (gam.indices[:, 1] == 0))
+        trimmed = PointSet(gam.points[keep], gam.window_radius, indices=gam.indices[keep])
+        self._check(trimmed, 0.8, 30)
+
+    def test_translated_set(self):
+        gam = perturb(square_lattice(1.3, 10.0), 0.25, seed=8)
+        node = gam.points[40]
+        shifted = PointSet(
+            gam.points - node,
+            gam.window_radius + abs(node),
+            indices=gam.indices - gam.indices[40][None, :],
+        )
+        self._check(shifted, 1.3, 30)
+
+
+class TestExactZeros:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), shift=st.floats(0.0, 0.45))
+    def test_zero_at_every_node(self, seed, shift):
+        gam = perturb(square_lattice(1.0, 6.0), shift, seed=seed)
+        cp = canonical_product(gam, SquareLattice(1.0), 12)
+        assert np.all(_gfun_log_many(cp, gam.points).real == -math.inf)
 
 
 class TestSigma:
@@ -102,16 +196,6 @@ class TestSigma:
                 assert abs(dmag) < 1e-11
                 assert abs(dphase) < 1e-11
 
-    def test_reduction_matches_direct_product(self):
-        # moderate |z|: the raw product is still accurate, so the
-        # quasi-period reduction must reproduce it
-        lat = SquareLattice(1.0)
-        for z in (1.3 + 0.9j, -1.8 + 0.4j, 0.6 - 1.6j):
-            red = sigma_log(lat, z, 25)
-            raw = complex(_sigma_raw_log(1.0, 25, np.array([z]))[0])
-            assert abs(red.log_mag - raw.real) < 1e-11
-            assert abs(reduce_phase(red.phase - raw.imag)) < 1e-11
-
     def test_weighted_modulus_doubly_periodic_at_critical_density(self):
         lat = SquareLattice(1.0)
         alpha = math.pi
@@ -130,15 +214,15 @@ class TestSigma:
         lat = SquareLattice(1.0)
         assert sigma_log(lat, 0.37 + 0.21j, 25) == sigma_log(lat, 0.37 + 0.21j, 25)
 
-    def test_truncation_diagnostic(self):
-        lat = SquareLattice(1.0)
-        with pytest.raises(TruncationTooSmall):
-            sigma_log(lat, 0.5 + 0.49j, 1)
-        sigma_log(lat, 0.5 + 0.49j, 3)
-
     def test_validates_truncation_index(self):
         with pytest.raises(ValidationError):
             sigma_log(SquareLattice(1.0), 0.3, 0)
+
+    def test_truncation_index_is_ignored(self):
+        lat = SquareLattice(1.0)
+        for z in (0.5 + 0.49j, 7.3 - 4.1j):
+            assert sigma_log(lat, z, 1) == sigma_log(lat, z)
+        assert quasi_period_constants(lat, 1) == quasi_period_constants(lat)
 
 
 class TestQuasiPeriodConstants:
@@ -157,10 +241,6 @@ class TestQuasiPeriodConstants:
         a = quasi_period_constants(SquareLattice(0.9), 22)
         b = quasi_period_constants(SquareLattice(0.9), 22)
         assert a == b
-
-    def test_small_truncation_raises_diagnostic(self):
-        with pytest.raises(NumericalDiagnosticError):
-            quasi_period_constants(SquareLattice(1.0), 1)
 
 
 class TestCanonicalProductBuild:
@@ -393,6 +473,12 @@ class TestGrowthCheck:
         assert growth_check(cp, math.pi, 4.0, 0.3) == growth_check(
             cp, math.pi, 4.0, 0.3
         )
+
+    def test_grid_on_the_zero_set_is_rejected(self):
+        # the one grid point is the origin, a point of the set
+        cp = canonical_product(square_lattice(1.0, 20.0), SquareLattice(1.0), 21)
+        with pytest.raises(ValidationError):
+            growth_check(cp, math.pi, 0.1, 0.15)
 
     def test_guards(self):
         cp = canonical_product(square_lattice(1.0, 8.0), SquareLattice(1.0), 25)

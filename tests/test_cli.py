@@ -582,6 +582,29 @@ class TestGrowthCheck:
         assert results["c"] >= 0.0
         assert results["C1"] > 0.0 and results["C2"] > 0.0
 
+    def test_grid_on_the_zero_set_exits_2_without_files(self, tmp_path, capsys):
+        out = tmp_path / "fresh"
+        rc = main(
+            [
+                "growth-check",
+                "--alpha",
+                "3.14159",
+                "--spacing",
+                "1",
+                "--window",
+                "20",
+                "--grid-radius",
+                "0.1",
+                "--grid-step",
+                "0.15",
+                "--out",
+                str(out),
+            ]
+        )
+        assert rc == 2
+        assert not out.exists()
+        assert error_doc(capsys)["error"] == "ValidationError"
+
 
 class TestEntryPoint:
     def test_module_invocation_reports_version(self):
