@@ -17,7 +17,7 @@ Both are evaluated in closed form. For spacing ``s`` the periods are
 
     sigma(z) = (s/pi) exp(pi z^2 / (2 s^2)) theta_1(pi z/s, q) / theta_1'(0, q),
 
-summed as an 8-term theta series after the argument is reduced to the
+summed as a 4-term theta series after the argument is reduced to the
 fundamental cell by the quasi-period law. The product then differs from
 ``sigma * (z - z00)/z`` by a finite product of ratios, one for each
 index of shell ``max(|m|,|n|) <= M`` (the truncation index) where the
@@ -29,6 +29,20 @@ quadratic exponents cancel), and a lattice site carrying no zero of g
 M and beyond the window the zero set is completed by the lattice
 itself, which sigma already carries. Everything is evaluated in log
 form, and exact zeros stay exact.
+
+Evaluation at a point z splits the ratios by shell. Shells beyond
+``2|z|/s`` fold into one power series. The nearer ratios are multiplied
+out in blocks of 16 and take one log|.| and one arg per block, since a
+log costs several times a complex multiply. Each factor is formed as a
+quotient of order 1 before it enters a block: ``(p - z)/(lambda - z)``
+for a displaced point, whose constant ``log(lambda/p)`` is summed once
+per product, and ``(lambda - z)/lambda`` for a site carrying no zero,
+whose block log is subtracted. Products of the raw differences
+``p - z`` and ``lambda - z`` would reach many times the size of their
+quotient, and the difference of their logs would lose digits to
+cancellation. The factor that vanishes at a point (a root equal to z,
+or a ratio whose site is the lattice site nearest z) is found by
+lookup in sorted arrays, not by comparing every (point, ratio) pair.
 """
 
 from __future__ import annotations
@@ -61,16 +75,27 @@ __all__ = [
 
 # theta_1(v, q) / (2 q^(1/4)) = sum_n (-1)^n q^(n(n+1)) sin((2n+1) v) at
 # q = exp(-pi); on the fundamental cell |Im v| <= pi/2, so the terms past
-# n = 3 are below 1e-21 of the first.
-_THETA_ORDERS = 2.0 * np.arange(8) + 1.0
-_THETA_COEFFS = np.array([(-1.0) ** n * math.exp(-math.pi * n * (n + 1)) for n in range(8)])
+# n = 3, which are left out, are below 1.5e-22 of the first.
+_THETA_ORDERS = 2.0 * np.arange(4) + 1.0
+_THETA_COEFFS = np.array([(-1.0) ** n * math.exp(-math.pi * n * (n + 1)) for n in range(4)])
 _THETA_SLOPE = float(np.sum(_THETA_COEFFS * _THETA_ORDERS))
 # Power-series order for ratios in shells beyond 2|z|/spacing, where
 # |z/point| <= 1/2; the neglected remainder is below 2^-60 per ratio.
 _SERIES_ORDER = 60
-# cells (points x ratios) per near-field block, which keeps the block's
-# temporaries at a few tens of MB on large grids
-_CHUNK_CELLS = 2_000_000
+# Near-field factors multiplied together before one log is taken. Off
+# the lattice site nearest z a displaced quotient (p - z)/(lambda - z)
+# is below 2 in modulus, as |p - lambda| < s/2 <= |lambda - z|, and a
+# bare factor 1 - z/lambda is below 1 + |z|/s < M + 2 under the
+# truncation guard |z| < (M+1)s; at that site the factor becomes z - p
+# (below s) or -1/lambda (at most 1/s). So a block of 16 stays below
+# (M+2)^16 max(s, 1/s). A factor is small only close to its own root or
+# site, and a double z is never closer to one than an ulp, so a block
+# does not underflow either.
+_BLOCK = 16
+# cells (points x padded ratios) per near-field chunk; the chunk's
+# temporaries (two complex arrays and the halving products) stay below
+# 30 MB
+_CHUNK_CELLS = 600_000
 
 
 def _check_M(M) -> None:
@@ -145,11 +170,17 @@ def sigma_log(lattice: SquareLattice, z: complex, M: int | None = None) -> LogCo
     truncation; a value below 1 still raises :class:`ValidationError`.
     """
     _check_M(M)
-    _, w, rest = _sigma_parts(lattice.spacing, np.array([complex(z)]))
-    if w[0] == 0:
-        return LogComplex(-math.inf, 0.0)
-    total = complex(np.log(w[0]) + rest[0])
+    total = complex(_sigma_log_many(lattice.spacing, np.array([complex(z)]))[0])
     return LogComplex(total.real, total.imag)
+
+
+def _sigma_log_many(spacing: float, zs: np.ndarray) -> np.ndarray:
+    """Complex log sigma over an array; ``-inf`` at the lattice points."""
+    _, w, rest = _sigma_parts(spacing, zs)
+    zero = w == 0
+    out = np.log(np.where(zero, 1.0, w)) + rest
+    out[zero] = -math.inf
+    return out
 
 
 @dataclass(frozen=True)
@@ -171,17 +202,40 @@ class GrowthBoundFit:
     violations: int
 
 
+@dataclass(frozen=True, slots=True)
+class _SortedKeys:
+    """Columns of a ratio array, looked up by exact equality of a key."""
+
+    keys: np.ndarray
+    cols: np.ndarray
+
+    @classmethod
+    def of(cls, values: np.ndarray) -> "_SortedKeys":
+        order = np.argsort(values, kind="stable")
+        return cls(values[order], order)
+
+    def find(self, values: np.ndarray, stop: int):
+        """``(rows, cols)`` where ``values[row]`` is the key of a column below ``stop``."""
+        pos = np.minimum(np.searchsorted(self.keys, values), self.keys.size - 1)
+        cols = self.cols[pos]
+        rows = np.flatnonzero((self.keys[pos] == values) & (cols < stop))
+        return rows, cols[rows]
+
+
 @dataclass(frozen=True, slots=True, eq=False)
 class CanonicalProduct:
     """Canonical product for a point set near a square lattice.
 
     Use :func:`canonical_product` to build. The product is sigma times
     ``(z - z00)/z`` times one ratio per index of shell at most
-    ``truncation_index`` where the set differs from the lattice. A ratio
-    has a root (the displaced point, with slope 1; or root 1 and slope 0
-    for a lattice site that carries no zero) and its lattice site; the
-    ratios are shell-sorted, and ``_far_sums[k]`` holds the power-series
-    coefficients of the ratios from shell k on.
+    ``truncation_index`` where the set differs from the lattice: a
+    displaced point (``_roots``, at ``_sites``) or a lattice site that
+    carries no zero (``_bare``). Both are shell-sorted; the first
+    ``_moved_starts[k]`` and ``_bare_starts[k]`` of them lie in shells
+    below k. ``_near_poly[k]`` holds the constant, linear and quadratic
+    coefficients summed over the ratios in shells below k, and
+    ``_far_sums[k]`` the power-series coefficients of the ratios from
+    shell k on.
     """
 
     gamma: PointSet
@@ -193,9 +247,14 @@ class CanonicalProduct:
     separation_q: float
     _index_of: dict
     _roots: np.ndarray
-    _slopes: np.ndarray
     _sites: np.ndarray
-    _shell_starts: np.ndarray
+    _bare: np.ndarray
+    _moved_starts: np.ndarray
+    _bare_starts: np.ndarray
+    _root_keys: _SortedKeys
+    _site_keys: _SortedKeys
+    _bare_keys: _SortedKeys
+    _near_poly: np.ndarray
     _far_sums: np.ndarray
 
     def node_at(self, m: int, n: int) -> complex:
@@ -265,23 +324,35 @@ def canonical_product(gamma: PointSet, lattice: SquareLattice, truncation_index:
         bare[n0 + M, m0 + M] = True
     bare[M, M] = False  # the origin's zero is divided out by (z - z00)/z
 
-    roots = np.concatenate([gamma.points[moved], np.ones(int(np.sum(bare)))])
-    slopes = np.concatenate([np.ones(int(np.sum(moved))), np.zeros(int(np.sum(bare)))])
-    ratio_sites = np.concatenate([sites[moved], lambdas[bare]])
-    ratio_shells = np.concatenate([shells[moved], np.maximum(np.abs(mm), np.abs(nn))[bare]])
-    order = np.argsort(ratio_shells, kind="stable")
-    roots, slopes, ratio_sites = roots[order], slopes[order], ratio_sites[order]
-    shell_starts = np.searchsorted(ratio_shells[order], np.arange(M + 2))
+    ring = np.maximum(np.abs(mm), np.abs(nn))[bare]
+    by_shell = np.argsort(shells[moved], kind="stable")
+    roots = gamma.points[moved][by_shell]
+    moved_sites = sites[moved][by_shell]
+    moved_shells = shells[moved][by_shell]
+    by_shell = np.argsort(ring, kind="stable")
+    bare_sites = lambdas[bare][by_shell]
+    bare_shells = ring[by_shell]
 
-    # log of a ratio is -sum_{j>=2} z^j/j (root^-j - site^-j) with root^-j
-    # read as 0 at a bare site, whose j = 2 term the quadratic exponent
-    # cancels; suffix sums per shell let evaluation fold far shells in
+    # Per ratio, binned by shell: the constant, z and z^2 coefficients of
+    # its log beside the near-field quotient (log(lambda/p) + z (1/p -
+    # 1/lambda) displaced, -z/lambda - z^2/(2 lambda^2) bare), and the
+    # power series -sum_{j>=2} z^j/j (root^-j - site^-j) of the whole
+    # ratio, with root^-j read as 0 at a bare site, whose j = 2 term the
+    # quadratic exponent cancels. Prefix sums give the near ratios below
+    # a shell cut, suffix sums the far ones.
+    inv_moved = 1.0 / moved_sites
+    inv_bare = 1.0 / bare_sites
+    poly = np.zeros((M + 1, 3), dtype=np.complex128)
+    np.add.at(poly[:, 0], moved_shells, np.log(moved_sites / roots))
+    np.add.at(poly[:, 1], moved_shells, 1.0 / roots - inv_moved)
+    np.add.at(poly[:, 1], bare_shells, -inv_bare)
+    np.add.at(poly[:, 2], bare_shells, -0.5 * inv_bare**2)
     js = np.arange(2, _SERIES_ORDER + 1)
-    inv_site = 1.0 / ratio_sites
-    terms = -((slopes / roots)[:, None] ** js - inv_site[:, None] ** js) / js
-    terms[:, 0] += (slopes - 1.0) * 0.5 * inv_site**2
-    suffix = np.concatenate([np.cumsum(terms[::-1], axis=0)[::-1], np.zeros((1, js.size))])
+    series = np.zeros((M + 1, js.size), dtype=np.complex128)
+    np.add.at(series, moved_shells, -((1.0 / roots)[:, None] ** js - inv_moved[:, None] ** js) / js)
+    np.add.at(series[:, 1:], bare_shells, inv_bare[:, None] ** js[1:] / js[1:])
 
+    cuts = np.arange(M + 2)
     return CanonicalProduct(
         gamma=gamma,
         lattice=lattice,
@@ -292,15 +363,46 @@ def canonical_product(gamma: PointSet, lattice: SquareLattice, truncation_index:
         separation_q=sep,
         _index_of=index_of,
         _roots=roots,
-        _slopes=slopes,
-        _sites=ratio_sites,
-        _shell_starts=shell_starts,
-        _far_sums=suffix[shell_starts],
+        _sites=moved_sites,
+        _bare=bare_sites,
+        _moved_starts=np.searchsorted(moved_shells, cuts),
+        _bare_starts=np.searchsorted(bare_shells, cuts),
+        _root_keys=_SortedKeys.of(roots),
+        _site_keys=_SortedKeys.of(moved_sites),
+        _bare_keys=_SortedKeys.of(bare_sites),
+        _near_poly=np.concatenate([np.zeros((1, 3)), np.cumsum(poly, axis=0)]),
+        _far_sums=np.concatenate([np.cumsum(series[::-1], axis=0)[::-1], np.zeros((1, js.size))]),
     )
 
 
-def _near_log(cp: CanonicalProduct, zs: np.ndarray, stop: int):
-    """Log of sigma * (z - z00)/z * the first ``stop`` ratios, and zero flags.
+def _block_log(x: np.ndarray) -> np.ndarray:
+    """Per row, the sum over blocks of ``_BLOCK`` columns of the log of
+    the block's product; the phase is right modulo 2 pi only.
+
+    The blocks are multiplied out by halving, which runs faster than
+    ``np.prod`` along the axis.
+    """
+    width = _BLOCK
+    while width > 1:
+        x = x[:, 0::2] * x[:, 1::2]
+        width //= 2
+    return np.sum(np.log(np.abs(x)), axis=1) + 1j * np.sum(np.angle(x), axis=1)
+
+
+def _padded(n: int) -> int:
+    """``n`` rounded up to a whole number of blocks."""
+    return -(-n // _BLOCK) * _BLOCK
+
+
+def _blocks(rows: int, n: int) -> np.ndarray:
+    """Uninitialized ``rows x n`` factors, padded with ones to whole blocks."""
+    out = np.empty((rows, _padded(n)), dtype=np.complex128)
+    out[:, n:] = 1.0
+    return out
+
+
+def _near_log(cp: CanonicalProduct, zs: np.ndarray, k: int):
+    """Log of sigma * (z - z00)/z * the ratios in shells below ``k``, and zero flags.
 
     Where a linear factor vanishes its derivative stands in for it, so
     at a zero of g the value is log g'(z). Where a ratio's site (or the
@@ -316,29 +418,35 @@ def _near_log(cp: CanonicalProduct, zs: np.ndarray, stop: int):
         divided |= site == 0
         zero |= lead == 0
         total = total + np.log(np.where(lead == 0, 1.0, lead)) - np.log(np.where(divided, 1.0, zs))
-    if stop:
-        roots = cp._roots[:stop]
-        slopes = cp._slopes[:stop]
-        sites = cp._sites[:stop]
-        num = roots - slopes * zs[:, None]
-        den = sites - zs[:, None]
-        at_root = num == 0
-        at_site = sites == site[:, None]
-        zero |= np.any(at_root, axis=1)
-        divided |= np.any(at_site, axis=1)
-        num[at_root] = -1.0
-        den[at_site] = -1.0
-        inv_site = 1.0 / sites
-        ratio = num / den * (sites / roots)
-        # log|.| and arg apart run an order of magnitude faster than a
-        # complex log, and the phase is only needed modulo 2 pi
-        total = (
-            total
-            + np.sum(np.log(np.abs(ratio)), axis=1)
-            + 1j * np.sum(np.angle(ratio), axis=1)
-            + zs * np.sum(slopes / roots - inv_site)
-            + (zs * zs) * np.sum((slopes - 1.0) * 0.5 * inv_site**2)
-        )
+    n = int(cp._moved_starts[k])
+    if n:
+        # (p - z)/(lambda - z), padded with ones to whole blocks
+        quot = _blocks(zs.size, n)
+        num = quot[:, :n]
+        np.subtract(cp._roots[:n], zs[:, None], out=num)
+        den = cp._sites[:n] - zs[:, None]
+        rows, cols = cp._root_keys.find(zs, n)
+        num[rows, cols] = -1.0
+        zero[rows] = True
+        rows, cols = cp._site_keys.find(site, n)
+        den[rows, cols] = -1.0
+        divided[rows] = True
+        np.divide(num, den, out=num)
+        total = total + _block_log(quot)
+    n = int(cp._bare_starts[k])
+    if n:
+        # (lambda - z) * (1/lambda): subtracting first keeps the relative
+        # accuracy that 1 - z/lambda loses next to the site
+        fac = _blocks(zs.size, n)
+        diff = fac[:, :n]
+        np.subtract(cp._bare[:n], zs[:, None], out=diff)
+        rows, cols = cp._bare_keys.find(site, n)
+        diff[rows, cols] = -1.0
+        divided[rows] = True
+        diff *= 1.0 / cp._bare[:n]
+        total = total - _block_log(fac)
+    c0, c1, c2 = cp._near_poly[k]
+    total = total + (c0 + zs * (c1 + zs * c2))
     zero |= (w == 0) & ~divided
     return total + np.log(np.where(divided | (w == 0), 1.0, w)), zero
 
@@ -346,7 +454,7 @@ def _near_log(cp: CanonicalProduct, zs: np.ndarray, stop: int):
 def _gfun_log_many(cp: CanonicalProduct, zs: np.ndarray) -> np.ndarray:
     """Complex log of g at many points (phase not yet reduced).
 
-    Ratios in shells below ``2|z|/s`` are evaluated one log apiece; the
+    Ratios in shells below ``2|z|/s`` are multiplied out in blocks; the
     remaining shells enter through the precomputed power-sum series
     (each such ratio has ``|z/root| <= 1/2``), so the cost per point
     grows with ``(|z|/s)^2`` only where the set is displaced.
@@ -362,13 +470,13 @@ def _gfun_log_many(cp: CanonicalProduct, zs: np.ndarray) -> np.ndarray:
     )
     for k0 in np.unique(cuts):
         sel = np.flatnonzero(cuts == k0)
-        stop = int(cp._shell_starts[k0])
+        width = _padded(int(cp._moved_starts[k0])) + _padded(int(cp._bare_starts[k0]))
         coeffs = cp._far_sums[k0]
-        chunk = max(1, _CHUNK_CELLS // max(stop, 1))
+        chunk = max(1, _CHUNK_CELLS // max(width, 1))
         for start in range(0, sel.size, chunk):
             idx = sel[start : start + chunk]
             part = zs[idx]
-            near, zero = _near_log(cp, part, stop)
+            near, zero = _near_log(cp, part, k0)
             acc = np.full(part.shape, coeffs[-1])
             for col in range(coeffs.size - 2, -1, -1):
                 acc = acc * part + coeffs[col]
@@ -419,7 +527,7 @@ def gfun_derivative_at_node(cp: CanonicalProduct, node_index) -> LogComplex:
         raise TruncationTooSmall(
             f"node index ({m}, {n}) lies outside the truncation square M={M}"
         )
-    total = complex(_near_log(cp, np.array([zq]), cp._roots.size)[0][0])
+    total = complex(_near_log(cp, np.array([zq]), M + 1)[0][0])
     return LogComplex(total.real, total.imag)
 
 

@@ -20,10 +20,10 @@ import numpy as np
 
 from . import __version__
 from .canonical import (
+    _sigma_log_many,
     canonical_product,
     growth_check,
     quasi_period_constants,
-    sigma_log,
 )
 from .errors import NumericalDiagnosticError, ValidationError
 from .interpolation import (
@@ -56,6 +56,7 @@ from .pointsets import (
     square_lattice,
 )
 from .sampling import frame_bounds
+from .space import LogComplex
 
 __all__ = ["main"]
 
@@ -287,7 +288,7 @@ def _cmd_interpolate(args):
 def _cmd_sigma_grid(args):
     grid = _parse_grid(args.grid)
     lattice = SquareLattice(args.spacing)
-    logs = [sigma_log(lattice, complex(z)) for z in grid]
+    logs = [LogComplex(v.real, v.imag) for v in _sigma_log_many(lattice.spacing, grid)]
     eta1, eta2 = quasi_period_constants(lattice)
     results = {
         "spacing": args.spacing,

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from fockspace.canonical import (
     _gfun_log_many,
+    _sigma_parts,
     canonical_product,
     gfun_derivative_at_node,
     gfun_log,
@@ -76,6 +77,86 @@ def brute_log_g(gamma, s, K, zs):
         total -= np.sum(np.log(1 - z / lat_only) + z / lat_only + z * z / (2 * lat_only**2))
         out.append(total)
     return np.array(out)
+
+
+def _reference_ratios(cp):
+    """The product's ratios in one shell-sorted list: roots, slopes, sites, shells."""
+    s = cp.lattice.spacing
+    roots = np.concatenate([cp._roots, np.ones(cp._bare.size)])
+    slopes = np.concatenate([np.ones(cp._roots.size), np.zeros(cp._bare.size)])
+    sites = np.concatenate([cp._sites, cp._bare])
+    shells = np.maximum(np.abs(np.rint(sites.real / s)), np.abs(np.rint(sites.imag / s)))
+    order = np.argsort(shells, kind="stable")
+    return roots[order], slopes[order], sites[order], shells[order]
+
+
+def reference_near_log(cp, zs, stop):
+    """Unblocked near field: one log|.| and one arg per (point, ratio) cell.
+
+    Log of sigma * (z - z00)/z * the first ``stop`` ratios, and zero
+    flags. Vanishing roots and sites are found by comparing every cell,
+    and a ratio is formed as ``(root - slope z)/(site - z) * site/root``.
+    """
+    roots, slopes, sites, _ = _reference_ratios(cp)
+    site, w, total = _sigma_parts(cp.lattice.spacing, zs)
+    divided = np.zeros(zs.shape, dtype=bool)
+    zero = np.zeros(zs.shape, dtype=bool)
+    if cp.z00 != 0:
+        lead = zs - cp.z00
+        divided |= site == 0
+        zero |= lead == 0
+        total = total + np.log(np.where(lead == 0, 1.0, lead)) - np.log(np.where(divided, 1.0, zs))
+    if stop:
+        roots, slopes, sites = roots[:stop], slopes[:stop], sites[:stop]
+        num = roots - slopes * zs[:, None]
+        den = sites - zs[:, None]
+        at_root = num == 0
+        at_site = sites == site[:, None]
+        zero |= np.any(at_root, axis=1)
+        divided |= np.any(at_site, axis=1)
+        num[at_root] = -1.0
+        den[at_site] = -1.0
+        inv_site = 1.0 / sites
+        ratio = num / den * (sites / roots)
+        total = (
+            total
+            + np.sum(np.log(np.abs(ratio)), axis=1)
+            + 1j * np.sum(np.angle(ratio), axis=1)
+            + zs * np.sum(slopes / roots - inv_site)
+            + (zs * zs) * np.sum((slopes - 1.0) * 0.5 * inv_site**2)
+        )
+    zero |= (w == 0) & ~divided
+    return total + np.log(np.where(divided | (w == 0), 1.0, w)), zero
+
+
+def reference_log_g(cp, zs):
+    """log g with the unblocked near field and a far series summed per ratio."""
+    zs = np.asarray(zs, dtype=complex).ravel()
+    s, M = cp.lattice.spacing, cp.truncation_index
+    roots, slopes, sites, shells = _reference_ratios(cp)
+    js = np.arange(2, 61)
+    cuts = np.minimum(M + 1, np.ceil(2.0 * np.abs(zs) / s + 0.5).astype(int).clip(min=1))
+    out = np.empty(zs.shape, dtype=complex)
+    for k in np.unique(cuts):
+        sel = cuts == k
+        stop = int(np.searchsorted(shells, k))
+        near, zero = reference_near_log(cp, zs[sel], stop)
+        # -sum_j z^j/j (root^-j - site^-j); a bare site's j = 2 term is
+        # cancelled by its quadratic exponent
+        coeff = -((slopes[stop:] / roots[stop:])[:, None] ** js - (1.0 / sites[stop:])[:, None] ** js) / js
+        coeff[slopes[stop:] == 0, 0] = 0.0
+        far = (zs[sel][:, None] ** js) @ np.sum(coeff, axis=0)
+        out[sel] = np.where(zero, -np.inf, near + far)
+    return out
+
+
+def assert_logs_agree(got, want):
+    """Same exact zeros; log-modulus and phase (mod 2 pi) to 1e-12 relative."""
+    np.testing.assert_array_equal(np.isneginf(got.real), np.isneginf(want.real))
+    live = np.isfinite(want.real)
+    scale = np.maximum(1.0, np.abs(want[live]))
+    assert np.all(np.abs(got[live].real - want[live].real) <= 1e-12 * scale)
+    assert np.all(np.abs(reduce_phase(got[live].imag - want[live].imag)) <= 1e-12 * scale)
 
 
 cells = st.integers(-4, 4)
@@ -147,6 +228,69 @@ class TestExactZeros:
         gam = perturb(square_lattice(1.0, 6.0), shift, seed=seed)
         cp = canonical_product(gam, SquareLattice(1.0), 12)
         assert np.all(_gfun_log_many(cp, gam.points).real == -math.inf)
+
+
+def _oracle_set(kind, s, shift, seed):
+    """A perturbed set, one with points removed, or a translate of one."""
+    gam = perturb(square_lattice(s, 5.0 * s), shift * s, seed=seed)
+    rng = np.random.default_rng(seed)
+    if kind == "removed":
+        keep = np.ones(len(gam), dtype=bool)
+        keep[rng.choice(len(gam), 4, replace=False)] = False
+        keep[np.flatnonzero((gam.indices == 0).all(axis=1))] = rng.random() < 0.5
+        return PointSet(gam.points[keep], gam.window_radius, indices=gam.indices[keep])
+    if kind == "translated":
+        pos = int(rng.integers(len(gam)))
+        node = gam.points[pos]
+        return PointSet(
+            gam.points - node,
+            gam.window_radius + abs(node),
+            indices=gam.indices - gam.indices[pos][None, :],
+        )
+    return gam
+
+
+class TestBlockedKernelOracle:
+    """The blocked near field against the unblocked per-ratio reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["perturbed", "removed", "translated"]),
+        s=st.sampled_from([1e-3, 1.0, 1.98, 1e3]),
+        shift=st.one_of(st.just(0.0), st.floats(0.0, 0.45)),
+        seed=st.integers(0, 2**31 - 1),
+        data=st.data(),
+    )
+    def test_matches_per_ratio_reference(self, kind, s, shift, seed, data):
+        gam = _oracle_set(kind, s, shift, seed)
+        M = 16
+        cp = canonical_product(gam, SquareLattice(s), M)
+        # roots, ratio sites, the origin, bucket boundaries and open points
+        pick = st.lists(st.integers(0, 10**6), min_size=6, max_size=6)
+        roots = cp._roots[[i % cp._roots.size for i in data.draw(pick)]] if cp._roots.size else []
+        sites = np.concatenate([cp._sites, cp._bare])
+        sites = sites[[i % sites.size for i in data.draw(pick)]] if sites.size else []
+        ks = np.array(data.draw(st.lists(st.integers(1, 2 * M), min_size=6, max_size=6)))
+        turns = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6)))
+        edges = (ks - 0.5) * s / 2.0 * np.exp(2j * math.pi * turns)
+        rng = np.random.default_rng(seed)
+        opens = s * (rng.uniform(-8, 8, 12) + 1j * rng.uniform(-8, 8, 12))
+        zs = np.concatenate([roots, sites, [0.0], edges, opens]).astype(complex)
+        zs = zs[np.abs(zs) < (M + 1) * s]
+        assert_logs_agree(_gfun_log_many(cp, zs), reference_log_g(cp, zs))
+
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), shift=st.floats(0.0, 0.45))
+    def test_node_derivatives_match_reference(self, seed, shift):
+        gam = perturb(square_lattice(1.0, 4.0), shift, seed=seed)
+        cp = canonical_product(gam, SquareLattice(1.0), 10)
+        derivs = [gfun_derivative_at_node(cp, tuple(mn)) for mn in gam.indices]
+        got = np.array([complex(d.log_mag, d.phase) for d in derivs])
+        want = np.array([
+            reference_near_log(cp, np.array([complex(p)]), cp._roots.size + cp._bare.size)[0][0]
+            for p in gam.points
+        ])
+        assert_logs_agree(got, want)
 
 
 class TestSigma:

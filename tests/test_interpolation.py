@@ -19,7 +19,7 @@ from fockspace.interpolation import (
     norm_growth_report,
     residual_check,
 )
-from fockspace.pointsets import PointSet, scale_lattice_to_density
+from fockspace.pointsets import PointSet, perturb, scale_lattice_to_density, square_lattice
 
 ALPHA = 1.0
 SUPER_SPACING = math.sqrt(math.pi / 1.5)
@@ -116,6 +116,26 @@ class TestLagrangeReconstruct:
             # summation order differs between the batched and scalar
             # reductions, so agreement is to rounding, not bitwise
             assert abs(arr[k] - one) <= 1e-13 * max(1.0, abs(one))
+
+    def test_weighted_error_on_perturbed_set(self):
+        # a fixed three-term kernel combination sampled on a perturbed
+        # density-1.5 set; the bound is twice the 7.53e-13 that one log
+        # per (point, ratio) pair reaches, so a kernel that loses digits
+        # to cancellation fails here while every looser tolerance passes
+        zetas = (0.5 + 0.3j, -1.2 + 0.8j, 0.9 - 1.1j)
+        weights = (1.0, -0.6 + 0.4j, 0.3j)
+
+        def f(z):
+            z = np.asarray(z, dtype=complex)
+            return sum(w * np.exp(ALPHA * np.conj(c) * z) for c, w in zip(zetas, weights))
+
+        gamma = perturb(square_lattice(SUPER_SPACING, 12.0), 0.2 * SUPER_SPACING, seed=1)
+        samples = samples_for(gamma, f, 12.0)
+        grid = disk_grid(4.9, 0.1)
+        grid = grid[np.abs(grid) < 4.9]
+        got = lagrange_reconstruct(gamma, ALPHA, samples, grid, 10.0)
+        err = np.abs(np.exp(-0.5 * ALPHA * np.abs(grid) ** 2) * (got - f(grid)))
+        assert float(np.max(err)) <= 1.51e-12
 
     def test_linear_in_samples(self):
         gamma = super_lattice()
