@@ -472,15 +472,15 @@ def _gfun_log_many(cp: CanonicalProduct, zs: np.ndarray) -> np.ndarray:
         sel = np.flatnonzero(cuts == k0)
         width = _padded(int(cp._moved_starts[k0])) + _padded(int(cp._bare_starts[k0]))
         coeffs = cp._far_sums[k0]
+        far = coeffs.any()  # a zero row: no ratio at or beyond this shell cut
         chunk = max(1, _CHUNK_CELLS // max(width, 1))
         for start in range(0, sel.size, chunk):
             idx = sel[start : start + chunk]
             part = zs[idx]
             near, zero = _near_log(cp, part, k0)
-            acc = np.full(part.shape, coeffs[-1])
-            for col in range(coeffs.size - 2, -1, -1):
-                acc = acc * part + coeffs[col]
-            out[idx] = np.where(zero, -np.inf, near + acc * (part * part))
+            if far:
+                near = near + np.polyval(coeffs[::-1], part) * (part * part)
+            out[idx] = np.where(zero, -np.inf, near)
     return out
 
 

@@ -105,6 +105,8 @@ def _parse_radii(text: str) -> list:
         start, stop, step = (float(p) for p in parts)
     except ValueError as exc:
         raise ValidationError("--radii parts must be numbers") from exc
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValidationError("--radii parts must be finite")
     if step <= 0 or stop < start:
         raise ValidationError("--radii needs stop >= start and step > 0")
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
@@ -119,6 +121,8 @@ def _parse_grid(text: str) -> np.ndarray:
         xmin, xmax, ymin, ymax, step = (float(p) for p in parts)
     except ValueError as exc:
         raise ValidationError("--grid parts must be numbers") from exc
+    if not all(map(math.isfinite, (xmin, xmax, ymin, ymax, step))):
+        raise ValidationError("--grid parts must be finite")
     if step <= 0 or xmax < xmin or ymax < ymin:
         raise ValidationError("--grid needs max >= min and step > 0")
     nx = int(math.floor((xmax - xmin) / step + 1e-9)) + 1

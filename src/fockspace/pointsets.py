@@ -296,19 +296,6 @@ def _feasible_x_interval(w: float, r: float):
     return lo, hi
 
 
-def _y_interval(w: float, r: float, tx: float):
-    """Feasible t_y interval for a fixed t_x, or None."""
-    edge = max(abs(tx), abs(tx + r))
-    root = w * w - edge * edge
-    if root < 0.0:
-        return None
-    g = math.sqrt(root)
-    lo, hi = -g, g - r
-    if lo > hi:
-        return None
-    return lo, hi
-
-
 def _with_midpoints(values: np.ndarray) -> np.ndarray:
     if len(values) < 2:
         return values
@@ -321,11 +308,18 @@ def counts(gamma: PointSet, r: float, translate_step: float):
 
     Scans all translates ``t`` for which ``t + [0, r] x [0, r]`` fits
     inside the window disk and returns the exact minimum and maximum of
-    ``#(points in t + [0, r) x [0, r))``. The extrema are found by event
-    decomposition: counts only change when a square edge crosses a point
-    coordinate or the feasibility boundary crosses such an event line,
-    so evaluating at those critical translates (the coarse
-    ``translate_step`` grid is folded in as a prefilter) is exhaustive.
+    ``#(points in t + [0, r) x [0, r))``. Counts only change when a square
+    edge crosses a point coordinate or the feasibility boundary crosses
+    such an event line, so evaluating at those critical translates (the
+    coarse ``translate_step`` grid is folded in as a prefilter) is
+    exhaustive. A run of candidate ``t_x`` sharing one column of points
+    ``t_x <= x < t_x + r`` is scanned in one pass. At each ``t_x`` the
+    ``t_y`` candidates are the y-events in its feasible interval
+    ``[-g, g - r]`` plus both ends. These intervals are nested about
+    ``-r/2``, also in floating point as ``sqrt`` and ``g - r`` round
+    monotonically, so a column's candidates are the y-events in its
+    widest interval plus every translate's ends: exactly the
+    ``(column, t_y)`` pairs, and so the counts, of a per-translate scan.
 
     Coordinates within a few ulps of a square edge are resolved as if
     they sat exactly on it (left edge closed, right edge open). Without
@@ -351,55 +345,56 @@ def counts(gamma: PointSet, r: float, translate_step: float):
             f"of radius {w:g}"
         )
     xlo, xhi = xspan
-    xs = np.sort(gamma.points.real)
-    ys_all = gamma.points.imag
     order = np.argsort(gamma.points.real, kind="stable")
-    ys_by_x = ys_all[order]
+    xs, ys_by_x = gamma.points.real[order], gamma.points.imag[order]
 
-    ux = np.unique(xs)
-    uy = np.unique(ys_all)
-    bx = np.concatenate([ux, ux - r])
-    by = np.unique(np.concatenate([uy, uy - r]))
+    bx = np.concatenate([xs, xs - r])
+    by = np.unique(np.concatenate([ys_by_x, ys_by_x - r]))
 
     # t_x values where the feasible t_y interval endpoint crosses a
     # horizontal event line; between these and the bx events the set of
     # reachable count cells is constant in t_x.
-    cross = []
-    for c in by:
-        for target in (c, c + r):
-            root = w * w - target * target
-            if root < 0.0:
-                continue
-            rt = math.sqrt(root)
-            for cand in (rt, -rt, -r + rt, -r - rt):
-                cross.append(cand)
+    targets = np.concatenate([by, by + r])
+    root = w * w - targets * targets
+    rt = np.sqrt(root[root >= 0.0])
+    cross = np.concatenate([rt, -rt, -r + rt, -r - rt])
     grid = np.arange(xlo, xhi, step) if xhi > xlo else np.array([xlo])
 
-    xcand = np.concatenate([bx, np.asarray(cross), grid, [xlo, xhi]])
+    xcand = np.concatenate([bx, cross, grid, [xlo, xhi]])
     xcand = np.unique(np.clip(xcand, xlo, xhi))
-    xcand = _with_midpoints(xcand)
+    tx = _with_midpoints(xcand)
 
-    n_min = len(gamma) + 1
-    n_max = -1
-    for tx in xcand:
-        span = _y_interval(w, r, float(tx))
-        if span is None:
-            continue
-        ylo, yhi = span
-        i0 = np.searchsorted(xs, tx - tol, side="left")
-        i1 = np.searchsorted(xs, tx + r - tol, side="left")
-        col = np.sort(ys_by_x[i0:i1])
-        ycand = np.unique(np.clip(by, ylo, yhi))
-        ycand = np.unique(np.concatenate([ycand, [ylo, yhi]]))
-        hits = np.searchsorted(col, ycand + r - tol, side="left") - np.searchsorted(
-            col, ycand - tol, side="left"
-        )
-        lo = int(hits.min()) if len(hits) else 0
-        hi = int(hits.max()) if len(hits) else 0
-        n_min = min(n_min, lo)
-        n_max = max(n_max, hi)
-    if n_max < 0:
+    # Feasible t_y interval [-g, g - r] of each candidate t_x.
+    edge = np.maximum(np.abs(tx), np.abs(tx + r))
+    root = w * w - edge * edge
+    ok = root >= 0.0
+    tx, g = tx[ok], np.sqrt(root[ok])
+    keep = -g <= g - r
+    tx, g = tx[keep], g[keep]
+    if tx.size == 0:
         raise WindowTooSmall("feasible translate region is empty")
+    ends = np.stack([-g, g - r], axis=1)
+
+    # i0 and i1 are nondecreasing in t_x, so each column is one run.
+    i0 = np.searchsorted(xs, tx - tol, side="left")
+    i1 = np.searchsorted(xs, tx + r - tol, side="left")
+    starts = np.flatnonzero(np.diff(i0, prepend=-1) | np.diff(i1, prepend=-1))
+    stops = np.append(starts[1:], tx.size)
+    widest = np.maximum.reduceat(g, starts)
+    ev_lo = np.searchsorted(by, -widest, side="left")
+    ev_hi = np.searchsorted(by, widest - r, side="right")
+
+    # Top and bottom edge of the square at each t_y candidate, less tol.
+    by_top, by_bot = by + r - tol, by - tol
+    end_top, end_bot = ends + r - tol, ends - tol
+    n_min, n_max = len(gamma), 0
+    for t0, t1, e0, e1 in zip(starts, stops, ev_lo, ev_hi):
+        col = np.sort(ys_by_x[i0[t0] : i1[t0]])
+        at_events = np.searchsorted(col, by_top[e0:e1]) - np.searchsorted(col, by_bot[e0:e1])
+        at_ends = np.searchsorted(col, end_top[t0:t1]) - np.searchsorted(col, end_bot[t0:t1])
+        hits = np.concatenate([at_events, at_ends.ravel()])
+        n_min = min(n_min, int(hits.min()))
+        n_max = max(n_max, int(hits.max()))
     return n_min, n_max
 
 

@@ -228,6 +228,26 @@ class TestValidationExits:
         assert rc == 2
         error_doc(capsys)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["density", "--in", "points.csv", "--window", "6", "--radii=nan:5:1"],
+            ["density", "--in", "points.csv", "--window", "6", "--radii=5:inf:1"],
+            ["sigma-grid", "--spacing", "1", "--grid=-3,inf,-3,3,0.1"],
+        ],
+    )
+    def test_non_finite_ladder_or_grid_exits_2_without_files(self, tmp_path, capsys, argv):
+        main(["lattice", "--spacing", "1", "--window", "6", "--out", str(tmp_path)])
+        capsys.readouterr()
+        argv = [str(tmp_path / a) if a == "points.csv" else a for a in argv]
+        out = tmp_path / "fresh"
+        rc = main(argv + ["--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        doc = error_doc(capsys)
+        assert doc["error"] == "ValidationError"
+        assert "finite" in doc["message"]
+
     def test_csv_point_set_needs_window(self, tmp_path, capsys):
         src = tmp_path / "pts.csv"
         main(["lattice", "--spacing", "1", "--window", "2", "--out", str(tmp_path)])

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fockspace import errors, pointsets
 from fockspace.pointsets import PointSet, SquareLattice
@@ -46,6 +48,124 @@ def brute_force_counts(gamma, r):
             best_min = inside if best_min is None else min(best_min, inside)
             best_max = inside if best_max is None else max(best_max, inside)
     return int(best_min), int(best_max)
+
+
+def _reference_y_interval(w, r, tx):
+    """Feasible t_y interval for a fixed t_x, or None."""
+    edge = max(abs(tx), abs(tx + r))
+    root = w * w - edge * edge
+    if root < 0.0:
+        return None
+    g = math.sqrt(root)
+    lo, hi = -g, g - r
+    if lo > hi:
+        return None
+    return lo, hi
+
+
+def reference_counts(gamma, r, translate_step):
+    """Per-translate scan that ``pointsets.counts`` must reproduce exactly.
+
+    Visits every candidate t_x on its own: sorts its column and counts
+    at every clipped y-event plus the two ends of its feasible t_y
+    interval. Same candidates, tolerance rule and errors as ``counts``.
+    """
+    r = float(r)
+    step = float(translate_step)
+    if not (r > 0.0 and step > 0.0):
+        raise errors.ValidationError("r and translate_step must be positive")
+    w = gamma.window_radius
+    tol = 16.0 * np.finfo(np.float64).eps * (1.0 + w + r)
+    xspan = pointsets._feasible_x_interval(w, r)
+    if xspan is None:
+        raise errors.WindowTooSmall(
+            f"no translate of a side-{r:g} square fits in the window disk "
+            f"of radius {w:g}"
+        )
+    xlo, xhi = xspan
+    xs = np.sort(gamma.points.real)
+    ys_all = gamma.points.imag
+    order = np.argsort(gamma.points.real, kind="stable")
+    ys_by_x = ys_all[order]
+
+    ux = np.unique(xs)
+    uy = np.unique(ys_all)
+    bx = np.concatenate([ux, ux - r])
+    by = np.unique(np.concatenate([uy, uy - r]))
+
+    cross = []
+    for c in by:
+        for target in (c, c + r):
+            root = w * w - target * target
+            if root < 0.0:
+                continue
+            rt = math.sqrt(root)
+            for cand in (rt, -rt, -r + rt, -r - rt):
+                cross.append(cand)
+    grid = np.arange(xlo, xhi, step) if xhi > xlo else np.array([xlo])
+
+    xcand = np.concatenate([bx, np.asarray(cross), grid, [xlo, xhi]])
+    xcand = np.unique(np.clip(xcand, xlo, xhi))
+    xcand = pointsets._with_midpoints(xcand)
+
+    n_min = len(gamma) + 1
+    n_max = -1
+    for tx in xcand:
+        span = _reference_y_interval(w, r, float(tx))
+        if span is None:
+            continue
+        ylo, yhi = span
+        i0 = np.searchsorted(xs, tx - tol, side="left")
+        i1 = np.searchsorted(xs, tx + r - tol, side="left")
+        col = np.sort(ys_by_x[i0:i1])
+        ycand = np.unique(np.clip(by, ylo, yhi))
+        ycand = np.unique(np.concatenate([ycand, [ylo, yhi]]))
+        hits = np.searchsorted(col, ycand + r - tol, side="left") - np.searchsorted(
+            col, ycand - tol, side="left"
+        )
+        lo = int(hits.min()) if len(hits) else 0
+        hi = int(hits.max()) if len(hits) else 0
+        n_min = min(n_min, lo)
+        n_max = max(n_max, hi)
+    if n_max < 0:
+        raise errors.WindowTooSmall("feasible translate region is empty")
+    return n_min, n_max
+
+
+@st.composite
+def count_cases(draw):
+    """A point set, square side and translate step for ``counts``.
+
+    Exact lattices at radii k*s put points on square edges; perturbed
+    and interleaved lattices break the alignment. Windows are either
+    drawn in spacings or set from 0.1% below to 5% above the square's
+    half-diagonal r/sqrt(2), so the feasible region is empty, barely
+    there or small.
+    """
+    s = draw(st.floats(0.4, 1.5))
+    if draw(st.booleans()):
+        r = draw(st.integers(1, 6)) * s
+    else:
+        r = draw(st.floats(0.5, 6.0)) * s
+    if draw(st.booleans()):
+        slack = draw(st.sampled_from([-1e-3, -1e-12, 0.0, 1e-12, 1e-9, 1e-3, 0.05]))
+        w = r / math.sqrt(2.0) * (1.0 + slack)
+    else:
+        w = draw(st.floats(2.0, 8.0)) * s
+    lattice = pointsets.square_lattice(s, w)
+    kind = draw(st.sampled_from(["exact", "perturbed", "interleaved"]))
+    if kind == "perturbed":
+        shift = draw(st.floats(0.0, 0.45)) * s
+        gamma = pointsets.perturb(lattice, shift, draw(st.integers(0, 2**16)))
+    elif kind == "interleaved":
+        moved = lattice.points + s * complex(
+            draw(st.floats(0.1, 0.9)), draw(st.floats(0.1, 0.9))
+        )
+        keep = np.abs(moved) <= w
+        gamma = PointSet(np.concatenate([lattice.points, moved[keep]]), w)
+    else:
+        gamma = lattice
+    return gamma, r, draw(st.floats(0.1, 1.0))
 
 
 class TestPointSet:
@@ -249,6 +369,20 @@ class TestCounts:
         ps = pointsets.square_lattice(1.0, 8.0)
         for r in [1.3, 2.0, 2.5]:
             assert pointsets.counts(ps, r, 0.4) == brute_force_counts(ps, r)
+
+
+class TestCountsMatchReference:
+    @settings(max_examples=200, deadline=None)
+    @given(count_cases())
+    def test_same_counts_or_same_error(self, case):
+        gamma, r, step = case
+        try:
+            want = reference_counts(gamma, r, step)
+        except errors.WindowTooSmall:
+            with pytest.raises(errors.WindowTooSmall):
+                pointsets.counts(gamma, r, step)
+            return
+        assert pointsets.counts(gamma, r, step) == want
 
 
 class TestDensityEstimate:
