@@ -60,7 +60,7 @@ from .errors import (
     ValidationError,
 )
 from .pointsets import PointSet, SquareLattice, nearest_distance, separation
-from .space import LogComplex, reduce_phase
+from .space import LogComplex, _check_alpha, reduce_phase
 
 __all__ = [
     "CanonicalProduct",
@@ -552,9 +552,7 @@ def growth_check(cp: CanonicalProduct, alpha: float, grid_radius: float, grid_st
         If the parameters are out of range, or no grid point lies off
         the zero set (the lower bound would have nothing to fit).
     """
-    alpha = float(alpha)
-    if alpha <= 0.0:
-        raise ValidationError("alpha must be positive")
+    alpha = _check_alpha(alpha)
     grid_radius = float(grid_radius)
     grid_step = float(grid_step)
     if not (grid_radius > 0.0 and grid_step > 0.0):

@@ -96,6 +96,19 @@ def _parse_int_list(text: str, flag: str) -> list:
     return values
 
 
+# Most points a --radii ladder or a --grid may hold. Counts are checked
+# before anything is allocated, so a tiny step is an error, not a hang.
+_MAX_POINTS = 1_000_000
+
+
+def _count(lo: float, hi: float, step: float, flag: str) -> int:
+    """Number of points lo, lo + step, ... up to hi, at most _MAX_POINTS."""
+    span = (hi - lo) / step + 1e-9
+    if not span < _MAX_POINTS:
+        raise ValidationError(f"{flag} asks for more than {_MAX_POINTS} points")
+    return int(math.floor(span)) + 1
+
+
 def _parse_radii(text: str) -> list:
     """Parse a start:stop:step ladder, inclusive of the stop endpoint."""
     parts = text.split(":")
@@ -109,8 +122,7 @@ def _parse_radii(text: str) -> list:
         raise ValidationError("--radii parts must be finite")
     if step <= 0 or stop < start:
         raise ValidationError("--radii needs stop >= start and step > 0")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [start + k * step for k in range(count)]
+    return [start + k * step for k in range(_count(start, stop, step, "--radii"))]
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -125,8 +137,10 @@ def _parse_grid(text: str) -> np.ndarray:
         raise ValidationError("--grid parts must be finite")
     if step <= 0 or xmax < xmin or ymax < ymin:
         raise ValidationError("--grid needs max >= min and step > 0")
-    nx = int(math.floor((xmax - xmin) / step + 1e-9)) + 1
-    ny = int(math.floor((ymax - ymin) / step + 1e-9)) + 1
+    nx = _count(xmin, xmax, step, "--grid")
+    ny = _count(ymin, ymax, step, "--grid")
+    if nx * ny > _MAX_POINTS:
+        raise ValidationError(f"--grid asks for more than {_MAX_POINTS} points")
     xs = xmin + step * np.arange(nx)
     ys = ymin + step * np.arange(ny)
     return (xs[None, :] + 1j * ys[:, None]).ravel()
@@ -137,8 +151,6 @@ def _built_set(args) -> tuple:
     if (args.spacing is None) == (args.density_ratio is None):
         raise ValidationError("give exactly one of --spacing or --density-ratio")
     if args.spacing is not None:
-        if args.spacing <= 0:
-            raise ValidationError("--spacing must be positive")
         spacing = args.spacing
         gamma = square_lattice(spacing, args.window)
     else:

@@ -1,24 +1,29 @@
 """Reconstruction from samples and explicit interpolation.
 
 Two regimes, split by the density beta/pi of the lattice the point set
-tracks, against the space parameter alpha:
+tracks, against the space parameter alpha. Both are Lagrange-type
+series ``sum_i c_i L_i(z)`` over the nodes z_i, on one basis form
+``L_i(z) = h_i(z) / (z - z_i)``. Each h_i has a simple zero at z_i with
+derivative 1 and vanishes at every other node, so ``L_i(z_j)`` is 1
+for j = i and 0 otherwise:
 
-* Reconstruction (beta > alpha): the Lagrange-type series
-  ``f(z) = sum f(z_mn) / g'(z_mn) * g(z) / (z - z_mn)`` with g the
-  canonical product of the whole set recovers f from its samples.
-* Interpolation (beta < alpha): the explicit series
-  ``f(z) = sum a~_mn exp(alpha conj(z_mn) z - alpha |z_mn|^2)
-  * g_t(z - z_mn) / (z - z_mn)`` with g_t the canonical product of the
-  translated set Gamma - z_mn solves the weighted interpolation problem.
+* Reconstruction (beta > alpha): ``h_i = g / g'(z_i)`` with g the
+  canonical product of the whole set. The coefficients are the samples,
+  ``c_i = f(z_i)``, and the series
+  ``f(z) = sum f(z_mn) / g'(z_mn) * g(z) / (z - z_mn)`` recovers f.
+* Interpolation (beta < alpha): ``h_i(z) = exp(alpha (conj(z_i) z -
+  |z_i|^2)) g_t(z - z_i)`` with g_t the canonical product of the
+  translated set Gamma - z_i. The coefficients are
+  ``c_i = a~_i = a_i exp(+alpha |z_i|^2 / 2)``, and the series solves
+  the weighted interpolation problem.
 
 Data targets follow the weighted convention: a_mn prescribes
-``exp(-alpha |z_mn|^2 / 2) f(z_mn)``, so the printed series receives
-``a~_mn = a_mn exp(+alpha |z_mn|^2 / 2)``. All per-term magnitudes are
-assembled in the log domain, where the large opposing exponentials
-cancel exactly; at a node the evaluator's own term reduces to its
-target algebraically and every other term vanishes exactly (the
-translated products carry exact zeros), so node identities hold at
-rounding level.
+``exp(-alpha |z_mn|^2 / 2) f(z_mn)``, hence the coefficient a~_mn.
+Basis and coefficients are complex logs (see :mod:`fockspace.space`)
+and one log-sum-exp adds the terms, so the large opposing exponentials
+cancel before exponentiation. The basis holds ``L_i(z_i) = 1``
+exactly, and every other term vanishes exactly at a node (the products
+carry exact zeros), so node identities hold at rounding level.
 
 Both series are truncated by node radius. Residuals are reported over
 the interior (half the truncation radius) only, so truncation effects
@@ -30,10 +35,9 @@ boundary lattice is neither a set of sampling nor one of interpolation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import gammaln
 
 from .canonical import canonical_product, gfun_derivative_at_node, _gfun_log_many
 from .errors import (
@@ -43,7 +47,7 @@ from .errors import (
     ValidationError,
 )
 from .pointsets import PointSet, SquareLattice
-from .space import _combine_term_logs
+from .space import _check_alpha, _combine_term_logs, _log, _monomial_logs
 
 __all__ = [
     "InterpolationProblem",
@@ -62,11 +66,6 @@ def _sq(z):
     """|z|^2 as conj(z)*z, so identical points cancel exactly."""
     z = np.asarray(z, dtype=np.complex128)
     return (np.conj(z) * z).real
-
-
-def _log_abs(values):
-    with np.errstate(divide="ignore"):
-        return np.log(np.abs(values))
 
 
 def _fitted_spacing(gamma: PointSet) -> float:
@@ -98,6 +97,43 @@ def _require_interpolation_regime(beta: float, alpha: float):
         )
 
 
+def _gather(gamma: PointSet, data: dict, radius: float, what: str):
+    """Points of gamma within ``radius``, their indices and their ``data`` values.
+
+    Raises
+    ------
+    MissingSamples
+        If some point within the radius has no value in ``data``.
+    """
+    inside = np.abs(gamma.points) <= radius
+    nodes = gamma.points[inside]
+    missing = sum(complex(p) not in data for p in nodes)
+    if missing:
+        raise MissingSamples(
+            f"{missing} points within radius {radius:g} have no {what}"
+        )
+    values = np.array([complex(data[complex(p)]) for p in nodes], dtype=np.complex128)
+    return nodes, gamma.indices[inside], values
+
+
+def _lagrange_basis(nodes: np.ndarray, zs: np.ndarray, h_log) -> np.ndarray:
+    """Complex logs of ``L_i(z) = h_i(z) / (z - z_i)``, shape (nodes, points).
+
+    ``h_log(i, w)`` returns the complex log of h_i at ``z_i + w``, where
+    ``w = zs - z_i``. At ``z = z_i`` the row holds ``L_i = 1`` exactly,
+    the limit for an h_i with a simple zero of derivative 1 there. Rows
+    are built one at a time, so the result is the only array of full
+    size.
+    """
+    out = np.empty((len(nodes), zs.size), dtype=np.complex128)
+    for i, node in enumerate(nodes):
+        w = zs - node
+        hit = w == 0
+        out[i] = h_log(i, w) - _log(np.where(hit, 1.0, w))
+        out[i, hit] = 0.0
+    return out
+
+
 def lagrange_reconstruct(gamma: PointSet, alpha: float, samples: dict, z, truncation_radius: float):
     """Recover f(z) from its plain samples on a supercritical set.
 
@@ -106,9 +142,11 @@ def lagrange_reconstruct(gamma: PointSet, alpha: float, samples: dict, z, trunca
     the interior ``|z| < truncation_radius / 2``; at a sampled point the
     sample itself is returned. Accepts a point or an array of points.
 
-    Each term is assembled in the log domain from the canonical-product
-    value at z, the product derivative at the node, and the sample, so
-    the opposing Gaussian-scale factors cancel before exponentiation.
+    The series runs on the Lagrange basis shared with the interpolant,
+    here ``L_i(z) = g(z) / (g'(z_i) (z - z_i))`` with g the canonical
+    product of the set, so ``L_i(z_i) = 1``; the coefficients are the
+    samples themselves. Basis and coefficients are complex logs, so the
+    opposing Gaussian-scale factors cancel before exponentiation.
 
     Raises
     ------
@@ -118,9 +156,7 @@ def lagrange_reconstruct(gamma: PointSet, alpha: float, samples: dict, z, trunca
     MissingSamples
         If some point within the truncation radius has no sample.
     """
-    alpha = float(alpha)
-    if alpha <= 0.0:
-        raise ValidationError("alpha must be positive")
+    alpha = _check_alpha(alpha)
     truncation_radius = float(truncation_radius)
     if truncation_radius <= 0.0:
         raise ValidationError("truncation_radius must be positive")
@@ -135,52 +171,21 @@ def lagrange_reconstruct(gamma: PointSet, alpha: float, samples: dict, z, trunca
         raise ValidationError(
             "query points must stay strictly inside half the truncation radius"
         )
-
-    inside = np.abs(gamma.points) <= truncation_radius
-    nodes = gamma.points[inside]
-    node_indices = gamma.indices[inside]
-    missing = [p for p in nodes if complex(p) not in samples]
-    if missing:
-        raise MissingSamples(
-            f"{len(missing)} points within radius {truncation_radius:g} "
-            "have no sample"
-        )
-    values = np.array([complex(samples[complex(p)]) for p in nodes])
+    nodes, node_indices, values = _gather(gamma, samples, truncation_radius, "sample")
 
     M = int(math.ceil(2.0 * truncation_radius / spacing)) + 20
     cp = canonical_product(gamma, SquareLattice(spacing), M)
     glog = _gfun_log_many(cp, flat)
-    dlogs = np.array(
-        [
-            (d.log_mag, d.phase)
-            for d in (
-                gfun_derivative_at_node(cp, (int(m), int(n)))
-                for m, n in node_indices
-            )
-        ]
-    )
-    diff = flat[None, :] - nodes[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lm = (
-            _log_abs(values)[:, None]
-            + glog.real[None, :]
-            - _log_abs(diff)
-            - dlogs[:, 0][:, None]
-        )
-        ph = (
-            np.angle(values)[:, None]
-            + glog.imag[None, :]
-            - np.angle(diff)
-            - dlogs[:, 1][:, None]
-        )
-    at_node = diff == 0
-    lm = np.where(at_node, -np.inf, lm)
-    total_lm, total_ph = _combine_term_logs(lm, ph)
-    out = np.exp(total_lm) * np.exp(1j * total_ph)
+    dlogs = [
+        complex(d.log_mag, d.phase)
+        for d in (gfun_derivative_at_node(cp, (int(m), int(n))) for m, n in node_indices)
+    ]
+    basis = _lagrange_basis(nodes, flat, lambda i, w: glog - dlogs[i])
+    out = np.exp(_combine_term_logs(basis + _log(values)[:, None]))
 
     # direct return of the sample at an exact sample point
-    hit_rows, hit_cols = np.nonzero(at_node)
-    out[hit_cols] = values[hit_rows]
+    hit = np.isin(flat, nodes)
+    out[hit] = [samples[complex(p)] for p in flat[hit]]
     out = out.reshape(zs.shape)
     return complex(out[()]) if scalar else out
 
@@ -201,8 +206,7 @@ class InterpolationProblem:
     data: dict
 
     def __post_init__(self):
-        if not (self.alpha > 0.0):
-            raise ValidationError("alpha must be positive")
+        _check_alpha(self.alpha)
         if not (self.lattice_spacing > 0.0):
             raise ValidationError("lattice_spacing must be positive")
         if self.gamma.indices is None:
@@ -238,83 +242,43 @@ class InterpolantEvaluator:
     _products: list
     _cache: dict = field(default_factory=dict)
 
-    def _basis_logs(self, flat: np.ndarray):
-        """Data-independent per-node term logs at the query points.
-
-        Row i holds the log form of
-        ``exp(alpha |z_i|^2 / 2) exp(alpha (conj(z_i) z - |z_i|^2))
-        g_t(z - z_i) / (z - z_i)``; multiplying row i by the datum a_i
-        gives the series term. At the node itself the exponent vanishes
-        and g_t(w)/w -> 1, which the hit branch encodes exactly.
-        """
+    def _basis(self, zs: np.ndarray) -> np.ndarray:
+        """Lagrange basis of the explicit series at the points ``zs``."""
         alpha = self.problem.alpha
-        nterm = len(self._nodes)
-        lm = np.full((max(nterm, 1), flat.size), -np.inf)
-        ph = np.zeros((max(nterm, 1), flat.size))
-        for i, node in enumerate(self._nodes):
-            sq_node = complex(np.conj(node) * node)
-            half = alpha * sq_node.real / 2.0
-            w = flat - node
-            gl = _gfun_log_many(self._products[i], w)
-            expo = alpha * (np.conj(node) * flat - sq_node)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                lm[i] = half + expo.real + gl.real - _log_abs(w)
-                ph[i] = expo.imag + gl.imag - np.angle(w)
-            hit = w == 0
-            if np.any(hit):
-                lm[i, hit] = half
-                ph[i, hit] = 0.0
-        return lm, ph
 
-    def _apply_data(self, basis_lm, basis_ph):
-        la = _log_abs(self._targets)
-        pa = np.angle(self._targets)
-        if basis_lm.shape[0] == 0 or la.size == 0:
-            return basis_lm, basis_ph
-        return basis_lm + la[:, None], basis_ph + pa[:, None]
+        def h_log(i, w):
+            node = self._nodes[i]
+            expo = alpha * (np.conj(node) * zs - np.conj(node) * node)
+            return expo + _gfun_log_many(self._products[i], w)
 
-    def _eval_log(self, zs):
-        zs = np.asarray(zs, dtype=np.complex128)
+        return _lagrange_basis(self._nodes, zs, h_log)
+
+    def _series(self, basis: np.ndarray) -> np.ndarray:
+        """Complex log of ``sum_i a~_i L_i`` per column of a basis."""
+        coeff_logs = _log(self._targets) + 0.5 * self.problem.alpha * _sq(self._nodes)
+        return _combine_term_logs(basis + coeff_logs[:, None])
+
+    def _values(self, z, weight: float):
+        """``exp(-weight |z|^2) f(z)`` at a point or an array of points."""
+        zs = np.asarray(z, dtype=np.complex128)
         flat = zs.ravel()
-        lm, ph = self._apply_data(*self._basis_logs(flat))
-        total_lm, total_ph = _combine_term_logs(lm, ph)
-        return zs, total_lm, total_ph
+        logs = self._series(self._basis(flat)) - weight * _sq(flat)
+        out = np.exp(logs).reshape(zs.shape)
+        return complex(out[()]) if zs.ndim == 0 else out
 
     def with_data(self, data: dict) -> "InterpolantEvaluator":
         """Evaluator for new targets on the same nodes, products reused."""
-        problem = InterpolationProblem(
-            gamma=self.problem.gamma,
-            alpha=self.problem.alpha,
-            lattice_spacing=self.problem.lattice_spacing,
-            data=data,
-        )
-        missing = [p for p in self._nodes if complex(p) not in data]
-        if missing:
-            raise MissingSamples(
-                f"{len(missing)} contributing points have no datum"
-            )
-        targets = np.array([complex(data[complex(p)]) for p in self._nodes])
-        return InterpolantEvaluator(
-            problem=problem,
-            truncation_radius=self.truncation_radius,
-            _nodes=self._nodes,
-            _targets=targets,
-            _products=self._products,
-            _cache=self._cache,
-        )
+        problem = replace(self.problem, data=data)
+        _, _, targets = _gather(problem.gamma, data, self.truncation_radius, "datum")
+        return replace(self, problem=problem, _targets=targets)
 
     def eval(self, z):
         """Plain interpolant value f(z); point or array."""
-        zs, lm, ph = self._eval_log(z)
-        out = (np.exp(lm) * np.exp(1j * ph)).reshape(zs.shape)
-        return complex(out[()]) if zs.ndim == 0 else out
+        return self._values(z, 0.0)
 
     def eval_weighted(self, z):
         """Weighted value exp(-alpha |z|^2 / 2) f(z); point or array."""
-        zs, lm, ph = self._eval_log(z)
-        lm = lm - 0.5 * self.problem.alpha * _sq(zs.ravel())
-        out = (np.exp(lm) * np.exp(1j * ph)).reshape(zs.shape)
-        return complex(out[()]) if zs.ndim == 0 else out
+        return self._values(z, 0.5 * self.problem.alpha)
 
     def pointwise_bound(self, grid_step: float = 0.5) -> float:
         """Reported constant C with |weighted f| <= (1 + sup|a|) C inside.
@@ -330,11 +294,10 @@ class InterpolantEvaluator:
             axis = grid_step * np.arange(-n, n + 1)
             grid = (axis[None, :] + 1j * axis[:, None]).ravel()
             grid = grid[np.abs(grid) <= half]
-            self._cache[key] = (grid, self._basis_logs(grid))
+            self._cache[key] = (grid, self._basis(grid))
         grid, basis = self._cache[key]
-        lm, ph = self._apply_data(*basis)
-        total_lm, _ = _combine_term_logs(lm, ph)
-        sup_w = float(np.max(total_lm - 0.5 * self.problem.alpha * _sq(grid)))
+        logs = self._series(basis).real
+        sup_w = float(np.max(logs - 0.5 * self.problem.alpha * _sq(grid)))
         sup_a = max((abs(complex(v)) for v in self._targets), default=0.0)
         return math.exp(sup_w) / (1.0 + sup_a)
 
@@ -368,16 +331,7 @@ def build_interpolant(problem: InterpolationProblem, truncation_radius: float) -
     _require_interpolation_regime(problem.beta, problem.alpha)
     gamma = problem.gamma
     spacing = problem.lattice_spacing
-    inside = np.abs(gamma.points) <= truncation_radius
-    nodes = gamma.points[inside]
-    node_indices = gamma.indices[inside]
-    missing = [p for p in nodes if complex(p) not in problem.data]
-    if missing:
-        raise MissingSamples(
-            f"{len(missing)} points within radius {truncation_radius:g} "
-            "have no datum"
-        )
-    targets = np.array([complex(problem.data[complex(p)]) for p in nodes])
+    nodes, node_indices, targets = _gather(gamma, problem.data, truncation_radius, "datum")
 
     M = int(math.ceil(4.0 * truncation_radius / spacing)) + 20
     lattice = SquareLattice(spacing)
@@ -456,32 +410,15 @@ def norm_growth_report(ev: InterpolantEvaluator, N: int) -> NormGrowthReport:
         wr = ws * (radius / 2.0)
         thetas = 2.0 * math.pi * np.arange(n_theta) / n_theta
         grid = rs[:, None] * np.exp(1j * thetas)[None, :]
-        ev._cache[key] = (rs, wr, ev._basis_logs(grid.ravel()))
+        ev._cache[key] = (rs, wr, ev._basis(grid.ravel()))
     rs, wr, basis = ev._cache[key]
 
-    lm, ph = ev._apply_data(*basis)
-    total_lm, total_ph = _combine_term_logs(lm, ph)
     flat_r = np.repeat(rs, n_theta)
-    total_lm = total_lm - 0.5 * alpha * flat_r**2
-    weighted = (np.exp(total_lm) * np.exp(1j * total_ph)).reshape(n_r, n_theta)
+    weighted = np.exp(ev._series(basis) - 0.5 * alpha * flat_r**2).reshape(n_r, n_theta)
     harmonics = np.fft.fft(weighted, axis=1) * (2.0 * math.pi / n_theta)
-
-    ns = np.arange(N + 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_r = np.log(rs)
-        radial_pow = np.where(ns[None, :] == 0, 0.0, ns[None, :] * log_r[:, None])
-    log_basis = (
-        0.5 * (ns[None, :] * math.log(alpha) - gammaln(ns + 1.0)[None, :])
-        + radial_pow
-        - 0.5 * alpha * rs[:, None] ** 2
-    )
     radial_weight = (alpha / math.pi) * wr * rs
-    coeffs = np.array(
-        [
-            np.sum(radial_weight * np.exp(log_basis[:, n]) * harmonics[:, n])
-            for n in ns
-        ]
-    )
+    radial_basis = np.exp(_monomial_logs(alpha, N, rs))
+    coeffs = np.sum(radial_weight[:, None] * radial_basis * harmonics[:, : N + 1], axis=0)
     interpolant_norm = float(np.linalg.norm(coeffs))
     data_norm = float(np.linalg.norm(ev._targets))
     return NormGrowthReport(

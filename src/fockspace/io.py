@@ -14,6 +14,7 @@ import csv
 import io as _stdio
 import json
 import math
+import operator
 
 import numpy as np
 
@@ -105,6 +106,14 @@ def _require(doc: dict, key: str, what: str):
     return doc[key]
 
 
+def _number(doc: dict, key: str, what: str) -> float:
+    value = _require(doc, key, what)
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} field {key!r} must be a number, got {value!r}") from exc
+
+
 def fock_function_to_doc(f: FockFunction) -> dict:
     doc = {"alpha": f.alpha, "repr": f.kind}
     if f.kind == "monomial":
@@ -116,7 +125,7 @@ def fock_function_to_doc(f: FockFunction) -> dict:
 
 
 def fock_function_from_doc(doc: dict) -> FockFunction:
-    alpha = float(_require(doc, "alpha", "function document"))
+    alpha = _number(doc, "alpha", "function document")
     kind = _require(doc, "repr", "function document")
     if kind == "monomial":
         coeffs = _unpairs(_require(doc, "coeffs", "monomial function"), "coeffs")
@@ -139,11 +148,15 @@ def point_set_to_doc(gamma: PointSet) -> dict:
 
 
 def point_set_from_doc(doc: dict) -> PointSet:
-    window = float(_require(doc, "window_radius", "point-set document"))
+    window = _number(doc, "window_radius", "point-set document")
     points = _unpairs(_require(doc, "points", "point-set document"), "points")
     indices = None
     if doc.get("indices") is not None:
-        indices = np.asarray(doc["indices"], dtype=np.int64)
+        try:
+            pairs = [(operator.index(m), operator.index(n)) for m, n in doc["indices"]]
+            indices = np.array(pairs, dtype=np.int64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError("indices must be a list of [m, n] integer pairs") from exc
     return PointSet(points, window, indices=indices)
 
 
@@ -170,12 +183,15 @@ def point_set_from_csv(text: str, window_radius: float) -> PointSet:
         raise ValidationError("point-set CSV must start with columns x,y")
     with_index = header[2:4] == ["m", "n"]
     points, indices = [], []
-    for row in rows[1:]:
+    for line, row in enumerate(rows[1:], start=2):
         if not row:
             continue
-        points.append(complex(float(row[0]), float(row[1])))
-        if with_index:
-            indices.append((int(row[2]), int(row[3])))
+        try:
+            points.append(complex(float(row[0]), float(row[1])))
+            if with_index:
+                indices.append((int(row[2]), int(row[3])))
+        except (IndexError, ValueError) as exc:
+            raise ValidationError(f"point-set CSV row {line} is malformed: {row!r}") from exc
     return PointSet(
         np.asarray(points, dtype=np.complex128),
         float(window_radius),
@@ -199,8 +215,10 @@ def problem_doc(alpha: float, lattice_spacing: float, nodes, data) -> dict:
 
 
 def problem_from_doc(doc: dict):
-    alpha = float(_require(doc, "alpha", "problem document"))
-    spacing = float(_require(doc, "lattice_spacing", "problem document"))
+    alpha = _number(doc, "alpha", "problem document")
+    spacing = _number(doc, "lattice_spacing", "problem document")
+    if not (math.isfinite(spacing) and spacing > 0.0):
+        raise ValidationError(f"lattice_spacing must be positive and finite, got {spacing}")
     nodes = _unpairs(_require(doc, "nodes", "problem document"), "nodes")
     data = _unpairs(_require(doc, "data", "problem document"), "data")
     if nodes.size != data.size:

@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class PointSet:
     """Finite planar point set inside a window disk.
 
@@ -61,17 +62,19 @@ class PointSet:
         present.
     """
 
-    __slots__ = ("points", "window_radius", "indices")
+    points: np.ndarray
+    window_radius: float
+    indices: np.ndarray | None = None
 
-    def __init__(self, points, window_radius, indices=None):
-        pts = np.asarray(points, dtype=np.complex128).copy()
+    def __post_init__(self):
+        pts = np.asarray(self.points, dtype=np.complex128).copy()
         if pts.ndim != 1 or pts.size == 0:
             raise ValidationError("points must be a nonempty 1-D sequence")
         if not np.all(np.isfinite(pts)):
             raise ValidationError("points must be finite")
         if len(np.unique(pts)) != len(pts):
             raise ValidationError("points must be pairwise distinct")
-        w = float(window_radius)
+        w = float(self.window_radius)
         if not (math.isfinite(w) and w >= 0.0):
             raise ValidationError("window_radius must be finite and nonnegative")
         rmax = float(np.max(np.abs(pts)))
@@ -79,22 +82,17 @@ class PointSet:
             raise ValidationError(
                 f"point at radius {rmax:g} lies outside the window {w:g}"
             )
-        if indices is not None:
-            idx = np.asarray(indices, dtype=np.int64).copy()
+        if self.indices is not None:
+            idx = np.asarray(self.indices, dtype=np.int64).copy()
             if idx.shape != (len(pts), 2):
                 raise ValidationError("indices must have shape (npoints, 2)")
             if len(np.unique(idx, axis=0)) != len(idx):
                 raise ValidationError("lattice indices must be distinct per point")
             idx.flags.writeable = False
-        else:
-            idx = None
+            object.__setattr__(self, "indices", idx)
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "window_radius", w)
-        object.__setattr__(self, "indices", idx)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PointSet is immutable")
 
     def __len__(self):
         return len(self.points)

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import (
     AlphaMismatch,
@@ -34,7 +33,7 @@ from .errors import (
     WindowTooSmall,
 )
 from .pointsets import PointSet
-from .space import FockFunction, eval_weighted, norm2, translate
+from .space import FockFunction, _check_alpha, _monomial_logs, eval_weighted, norm2, translate
 
 __all__ = [
     "FrameEstimate",
@@ -69,26 +68,6 @@ class FrameEstimate:
             raise ValidationError("radii must be positive")
 
 
-def _weighted_basis_rows(zs: np.ndarray, alpha: float, N: int) -> np.ndarray:
-    """Rows of e_n(z) exp(-alpha |z|^2 / 2), built in log form.
-
-    Every entry has modulus at most 1, so the combined matrix is safe
-    in linear space; only the per-entry terms need logs.
-    """
-    n = np.arange(N + 1)
-    az = np.abs(zs)
-    theta = np.angle(zs)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logz = np.log(az)
-        radial = np.where(n[None, :] == 0, 0.0, n[None, :] * logz[:, None])
-    log_mag = (
-        0.5 * (n[None, :] * math.log(alpha) - gammaln(n + 1.0)[None, :])
-        + radial
-        - 0.5 * alpha * az[:, None] ** 2
-    )
-    return np.exp(log_mag) * np.exp(1j * n[None, :] * theta[:, None])
-
-
 def frame_matrix(gamma: PointSet, alpha: float, N: int) -> np.ndarray:
     """Frame quadratic form of a point set on span{e_0..e_N}.
 
@@ -98,13 +77,14 @@ def frame_matrix(gamma: PointSet, alpha: float, N: int) -> np.ndarray:
     parallelize it; the summation order is data-independent) and the
     result is symmetrized, so Hermiticity is exact.
     """
-    alpha = float(alpha)
-    if alpha <= 0.0:
-        raise ValidationError("alpha must be positive")
+    alpha = _check_alpha(alpha)
     N = int(N)
     if N < 0:
         raise ValidationError("degree must be nonnegative")
-    rows = _weighted_basis_rows(gamma.points, alpha, N)
+    logs = _monomial_logs(alpha, N, gamma.points)
+    # modulus times unit phase, not one complex exp: the two round
+    # differently, and this form keeps frame reports bit-stable
+    rows = np.exp(logs.real) * np.exp(1j * logs.imag)
     S = rows.conj().T @ rows
     return (S + S.conj().T) / 2.0
 
@@ -125,9 +105,7 @@ def frame_bounds(gamma: PointSet, alpha: float, N: int, window_radius: float) ->
     WindowTooSmall
         If the window does not contain the point set.
     """
-    alpha = float(alpha)
-    if alpha <= 0.0:
-        raise ValidationError("alpha must be positive")
+    alpha = _check_alpha(alpha)
     N = int(N)
     if N < 0:
         raise ValidationError("degree must be nonnegative")

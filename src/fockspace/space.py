@@ -17,6 +17,12 @@ Quantities carrying the factors ``exp(+-alpha |z|^2 / 2)`` are evaluated
 in log form throughout, so no intermediate overflows even when the plain
 function value would. Plain complex code paths raise :class:`Overflow`
 instead of returning infinities.
+
+Inside the package an array of values in log form is one complex array:
+its real part is ``log|.|``, ``-inf`` for an exact zero, and its
+imaginary part is the phase. Products are sums of such arrays, and
+:func:`_combine_term_logs` is the one log-sum-exp that adds terms up.
+:class:`LogComplex` is the scalar form the public API returns.
 """
 
 from __future__ import annotations
@@ -129,6 +135,7 @@ class LogComplex:
         return LogComplex(self.log_mag - other.log_mag, self.phase - other.phase)
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class FockFunction:
     """A concrete element of the space, in one of two representations.
 
@@ -148,15 +155,18 @@ class FockFunction:
         Kernel nodes and weights (``kind == "kernel"``).
     """
 
-    __slots__ = ("alpha", "kind", "coeffs", "nodes", "weights")
+    alpha: float
+    kind: str
+    coeffs: np.ndarray | None = None
+    nodes: np.ndarray | None = None
+    weights: np.ndarray | None = None
 
-    def __init__(self, alpha, kind, coeffs=None, nodes=None, weights=None):
-        object.__setattr__(self, "alpha", _check_alpha(alpha))
-        if kind not in ("monomial", "kernel"):
-            raise ValidationError(f"unknown representation {kind!r}")
-        object.__setattr__(self, "kind", kind)
-        if kind == "monomial":
-            c = np.asarray(coeffs, dtype=np.complex128).copy()
+    def __post_init__(self):
+        object.__setattr__(self, "alpha", _check_alpha(self.alpha))
+        if self.kind not in ("monomial", "kernel"):
+            raise ValidationError(f"unknown representation {self.kind!r}")
+        if self.kind == "monomial":
+            c = np.asarray(self.coeffs, dtype=np.complex128).copy()
             if c.ndim != 1 or c.size == 0:
                 raise ValidationError("coeffs must be a nonempty 1-D sequence")
             if not np.all(np.isfinite(c)):
@@ -166,8 +176,8 @@ class FockFunction:
             object.__setattr__(self, "nodes", None)
             object.__setattr__(self, "weights", None)
         else:
-            zs = np.asarray(nodes, dtype=np.complex128).copy()
-            ws = np.asarray(weights, dtype=np.complex128).copy()
+            zs = np.asarray(self.nodes, dtype=np.complex128).copy()
+            ws = np.asarray(self.weights, dtype=np.complex128).copy()
             if zs.ndim != 1 or zs.size == 0 or zs.shape != ws.shape:
                 raise ValidationError("nodes and weights must be matching 1-D sequences")
             if not (np.all(np.isfinite(zs)) and np.all(np.isfinite(ws))):
@@ -179,9 +189,6 @@ class FockFunction:
             object.__setattr__(self, "coeffs", None)
             object.__setattr__(self, "nodes", zs)
             object.__setattr__(self, "weights", ws)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FockFunction is immutable")
 
     @classmethod
     def monomial(cls, alpha, coeffs) -> "FockFunction":
@@ -244,76 +251,84 @@ def kernel_log(alpha, z: complex, zeta: complex) -> LogComplex:
     return LogComplex(e.real, e.imag)
 
 
-def _weighted_term_logs(f: FockFunction, zs: np.ndarray):
-    """Per-term log decomposition of ``exp(-alpha|z|^2/2) f(z)``.
+def _log(values) -> np.ndarray:
+    """Complex log of an array, ``-inf`` (phase 0) at exact zeros.
 
-    Returns ``(log_mag, phase)`` arrays of shape (terms, npoints). Every
-    monomial term has modulus at most ``|c_n|`` and every kernel term at
-    most ``|w_j| exp(alpha |zeta_j|^2 / 2)``, so the row maxima locate
-    the scale safely.
+    Assembled from ``log|.|`` and the angle, which is about ten times
+    faster than numpy's complex log on the same array.
+    """
+    values = np.asarray(values, dtype=np.complex128)
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(values)) + 1j * np.angle(values)
+
+
+def _monomial_logs(alpha: float, N: int, zs) -> np.ndarray:
+    """Complex logs of ``e_n(z) exp(-alpha |z|^2 / 2)``, shape (points, N+1).
+
+    Every entry has modulus at most 1; only the separate factors need
+    logs, so rows are safe to exponentiate.
+    """
+    zs = np.asarray(zs, dtype=np.complex128)
+    n = np.arange(N + 1)
+    az = np.abs(zs)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        radial = np.where(n[None, :] == 0, 0.0, n[None, :] * np.log(az)[:, None])
+    log_mag = (
+        0.5 * (n[None, :] * math.log(alpha) - gammaln(n + 1.0)[None, :])
+        + radial
+        - 0.5 * alpha * az[:, None] ** 2
+    )
+    return log_mag + 1j * (n[None, :] * np.angle(zs)[:, None])
+
+
+def _weighted_term_logs(f: FockFunction, zs: np.ndarray) -> np.ndarray:
+    """Per-term complex logs of ``exp(-alpha|z|^2/2) f(z)``, shape (terms, points).
+
+    Every monomial term has modulus at most ``|c_n|`` and every kernel
+    term at most ``|w_j| exp(alpha |zeta_j|^2 / 2)``, so the row maxima
+    locate the scale safely.
     """
     a = f.alpha
     zs = np.asarray(zs, dtype=np.complex128)
-    r2 = zs.real**2 + zs.imag**2
     if f.kind == "monomial":
-        c = f.coeffs
-        n = np.arange(len(c), dtype=np.float64)[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logr = np.log(np.abs(zs))[None, :]
-            nlogr = np.where(n == 0.0, 0.0, n * logr)
-            logc = np.log(np.abs(c))[:, None]
-        base = 0.5 * (n * math.log(a) - gammaln(n + 1.0))
-        log_mag = logc + base + nlogr - 0.5 * a * r2[None, :]
-        phase = np.angle(c)[:, None] + n * np.angle(zs)[None, :]
-    else:
-        e = a * np.conj(f.nodes)[:, None] * zs[None, :]
-        with np.errstate(divide="ignore"):
-            logw = np.log(np.abs(f.weights))[:, None]
-        log_mag = logw + e.real - 0.5 * a * r2[None, :]
-        phase = np.angle(f.weights)[:, None] + e.imag
-    return log_mag, phase
+        return _log(f.coeffs)[:, None] + _monomial_logs(a, len(f.coeffs) - 1, zs).T
+    e = a * np.conj(f.nodes)[:, None] * zs[None, :]
+    return _log(f.weights)[:, None] + e - 0.5 * a * (zs.real**2 + zs.imag**2)[None, :]
 
 
-def _combine_term_logs(log_mag: np.ndarray, phase: np.ndarray):
-    """Sum log-form terms columnwise; returns (log_mag, phase) per point.
+def _combine_term_logs(logs: np.ndarray) -> np.ndarray:
+    """Sum complex-log terms along the first axis; one complex log per column.
 
-    The reduction subtracts the per-column maximum before exponentiating,
-    so the sum is exact to rounding whenever the true total is
-    representable in log form. Summation order is fixed by the input
-    shape, which keeps repeated runs bit-identical.
+    The reduction subtracts the per-column maximum of ``log|.|`` before
+    exponentiating, so the sum is exact to rounding whenever the true
+    total is representable in log form. A column without terms, or
+    with only exact zeros, sums to an exact zero. Summation order is
+    fixed by the input shape, which keeps repeated runs bit-identical.
     """
-    top = np.max(log_mag, axis=0)
+    top = np.max(logs.real, axis=0, initial=-np.inf)
     safe_top = np.where(np.isfinite(top), top, 0.0)
-    with np.errstate(invalid="ignore"):
-        scaled = np.exp(log_mag - safe_top[None, :] + 1j * phase)
-    scaled = np.where(np.isfinite(log_mag), scaled, 0.0)
-    total = np.sum(scaled, axis=0)
-    mag = np.abs(total)
-    with np.errstate(divide="ignore"):
-        out_log = np.where(mag > 0.0, safe_top + np.log(mag), -np.inf)
-    out_phase = np.where(mag > 0.0, np.angle(total), 0.0)
-    return out_log, out_phase
+    scaled = logs - safe_top
+    np.exp(scaled, out=scaled)
+    return safe_top + _log(np.sum(scaled, axis=0))
 
 
-def _eval_weighted_log_many(f: FockFunction, zs: np.ndarray):
-    """Vectorized log form of the weighted values at many points."""
+def _eval_weighted_log_many(f: FockFunction, zs: np.ndarray) -> np.ndarray:
+    """Vectorized complex log of the weighted values at many points."""
     zs = np.asarray(zs, dtype=np.complex128)
     flat = zs.ravel()
     nterms = len(f.coeffs) if f.kind == "monomial" else len(f.nodes)
-    chunk = max(1, int(4_000_000 // max(nterms, 1)))
-    logs = np.empty(flat.shape, dtype=np.float64)
-    phases = np.empty(flat.shape, dtype=np.float64)
+    chunk = max(1, int(4_000_000 // nterms))
+    logs = np.empty(flat.shape, dtype=np.complex128)
     for start in range(0, flat.size, chunk):
         part = flat[start : start + chunk]
-        lm, ph = _weighted_term_logs(f, part)
-        logs[start : start + chunk], phases[start : start + chunk] = _combine_term_logs(lm, ph)
-    return logs.reshape(zs.shape), phases.reshape(zs.shape)
+        logs[start : start + chunk] = _combine_term_logs(_weighted_term_logs(f, part))
+    return logs.reshape(zs.shape)
 
 
 def eval_weighted_log(f: FockFunction, z: complex) -> LogComplex:
     """Log form of ``exp(-alpha |z|^2 / 2) f(z)``."""
-    lm, ph = _eval_weighted_log_many(f, np.array([z], dtype=np.complex128))
-    return LogComplex(float(lm[0]), float(ph[0]))
+    val = complex(_eval_weighted_log_many(f, np.array([z], dtype=np.complex128))[0])
+    return LogComplex(val.real, val.imag)
 
 
 def eval_weighted(f: FockFunction, z) -> complex:
@@ -331,10 +346,10 @@ def eval_weighted(f: FockFunction, z) -> complex:
     arr = np.asarray(z, dtype=np.complex128)
     if arr.ndim == 0:
         return eval_weighted_log(f, complex(z)).to_complex()
-    lm, ph = _eval_weighted_log_many(f, arr)
-    if np.any(lm >= MAX_EXP):
+    logs = _eval_weighted_log_many(f, arr)
+    if np.any(logs.real >= MAX_EXP):
         raise Overflow("weighted value exceeds the representable range")
-    return np.exp(lm) * np.exp(1j * ph)
+    return np.exp(logs)
 
 
 def eval(f: FockFunction, z: complex) -> complex:  # noqa: A001 - public API name
@@ -361,23 +376,7 @@ def norm2(f: FockFunction) -> float:
     """
     if f.kind == "monomial":
         return float(np.sqrt(np.sum(np.abs(f.coeffs) ** 2)))
-    zs, ws = f.nodes, f.weights
-    lw = np.log(np.abs(ws))
-    pw = np.angle(ws)
-    # ||f||^2 = sum_{jk} w_j conj(w_k) exp(alpha conj(zeta_j) zeta_k);
-    # the weight conjugation pairs with the kernel's first slot, which is
-    # what the reproducing-property and isometry tests pin down.
-    e = f.alpha * np.conj(zs)[:, None] * zs[None, :]
-    log_mag = lw[:, None] + lw[None, :] + e.real
-    phase = pw[:, None] - pw[None, :] + e.imag
-    top = float(np.max(log_mag))
-    if not math.isfinite(top):
-        return 0.0
-    total = np.sum(np.exp(log_mag - top + 1j * phase))
-    sq = max(total.real, 0.0)
-    if sq == 0.0:
-        return 0.0
-    half_log = 0.5 * (top + math.log(sq))
+    half_log = 0.5 * _inner_log(f, f).real
     if half_log >= MAX_EXP:
         raise Overflow(f"norm log {half_log:.6g} exceeds the safe range")
     return math.exp(half_log)
@@ -410,7 +409,7 @@ def norm_inf(f: FockFunction, search_radius: float, grid_step: float) -> float:
 
     def best_on(xs, ys):
         grid = xs[None, :] + 1j * ys[:, None]
-        lm, _ = _eval_weighted_log_many(f, grid)
+        lm = _eval_weighted_log_many(f, grid).real
         k = int(np.argmax(lm))
         return float(lm.ravel()[k]), complex(grid.ravel()[k])
 
@@ -460,6 +459,18 @@ def _eval_monomial_direct(f: FockFunction, zs: np.ndarray) -> np.ndarray:
     return out
 
 
+def _inner_log(f: FockFunction, g: FockFunction) -> complex:
+    """Complex log of ``<f, g>`` for two kernel combinations.
+
+    ``<f, g> = sum_jk w_j conj(v_k) exp(alpha conj(zeta_j) eta_k)``; the
+    weight conjugation pairs with the kernel's first slot, which is what
+    the reproducing-property and isometry tests pin down.
+    """
+    e = f.alpha * np.conj(f.nodes)[:, None] * g.nodes[None, :]
+    terms = _log(f.weights)[:, None] + np.conj(_log(g.weights))[None, :] + e
+    return complex(_combine_term_logs(terms.ravel()))
+
+
 def inner(f: FockFunction, g: FockFunction) -> complex:
     """Hermitian inner product ``<f, g>``, linear in ``f``.
 
@@ -479,15 +490,8 @@ def inner(f: FockFunction, g: FockFunction) -> complex:
         n = min(len(f.coeffs), len(g.coeffs))
         return complex(np.sum(f.coeffs[:n] * np.conj(g.coeffs[:n])))
     if f.kind == "kernel" and g.kind == "kernel":
-        lw = np.log(np.abs(f.weights))[:, None] + np.log(np.abs(g.weights))[None, :]
-        e = f.alpha * np.conj(f.nodes)[:, None] * g.nodes[None, :]
-        log_mag = lw + e.real
-        phase = np.angle(f.weights)[:, None] - np.angle(g.weights)[None, :] + e.imag
-        top = float(np.max(log_mag))
-        if not math.isfinite(top):
-            return 0j
-        total = np.sum(np.exp(log_mag - top + 1j * phase))
-        return LogComplex.from_complex(total).__mul__(LogComplex(top, 0.0)).to_complex()
+        total = _inner_log(f, g)
+        return LogComplex(total.real, total.imag).to_complex()
     if f.kind == "monomial":
         vals = _eval_monomial_direct(f, g.nodes)
         if not np.all(np.isfinite(vals)):

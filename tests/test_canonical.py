@@ -585,6 +585,12 @@ class TestGrowthCheck:
         )
         assert fit.C2 / fit.C1 <= ratio * (1 + 1e-9)
 
+    @pytest.mark.parametrize("alpha", [0.0, math.nan, math.inf])
+    def test_rejects_bad_alpha(self, alpha):
+        cp = canonical_product(square_lattice(1.0, 8.0), SquareLattice(1.0), 25)
+        with pytest.raises(ValidationError):
+            growth_check(cp, alpha, 4.5, 0.25)
+
     def test_perturbed_set_fits_without_violations(self):
         gam = perturb(square_lattice(1.0, 8.0), 0.2, seed=3)
         cp = canonical_product(gam, SquareLattice(1.0), 30)

@@ -248,6 +248,36 @@ class TestValidationExits:
         assert doc["error"] == "ValidationError"
         assert "finite" in doc["message"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["density", "--in", "letters.csv", "--window", "3"],
+            ["density", "--in", "one_column.csv", "--window", "3"],
+            ["reconstruct", "--in", "text_alpha.json"],
+            ["reconstruct", "--in", "nan_alpha.json"],
+            ["density", "--in", "points.csv", "--window", "6", "--radii=5:6:1e-300"],
+            ["sigma-grid", "--spacing", "1", "--grid=-3,3,-3,3,1e-300"],
+        ],
+    )
+    def test_malformed_input_exits_2_without_files(
+        self, tmp_path, capsys, recon_problem, argv
+    ):
+        main(["lattice", "--spacing", "1", "--window", "6", "--out", str(tmp_path)])
+        capsys.readouterr()
+        (tmp_path / "letters.csv").write_text("x,y\n0,0\nabc,1\n")
+        (tmp_path / "one_column.csv").write_text("x,y\n0,0\n1\n")
+        doc = json.loads(recon_problem.read_text())
+        for name, alpha in (("text_alpha.json", "abc"), ("nan_alpha.json", math.nan)):
+            (tmp_path / name).write_text(json.dumps({**doc, "alpha": alpha}))
+        if argv[0] == "reconstruct":
+            argv = argv + ["--truncation-radius", "8", "--grid=-1,1,-1,1,0.5"]
+        argv = [str(tmp_path / a) if a.endswith((".csv", ".json")) else a for a in argv]
+        out = tmp_path / "fresh"
+        rc = main(argv + ["--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert error_doc(capsys)["error"] == "ValidationError"
+
     def test_csv_point_set_needs_window(self, tmp_path, capsys):
         src = tmp_path / "pts.csv"
         main(["lattice", "--spacing", "1", "--window", "2", "--out", str(tmp_path)])

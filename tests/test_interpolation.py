@@ -175,6 +175,13 @@ class TestLagrangeReconstruct:
         with pytest.raises(ValidationError):
             lagrange_reconstruct(gamma, ALPHA, samples, 4.0 + 0j, 8.0)
 
+    @pytest.mark.parametrize("alpha", [0.0, math.nan, math.inf])
+    def test_rejects_bad_alpha(self, alpha):
+        gamma = super_lattice(20.0)
+        samples = samples_for(gamma, lambda p: 1.0, 6.0)
+        with pytest.raises(ValidationError):
+            lagrange_reconstruct(gamma, alpha, samples, 0.1j, 6.0)
+
     def test_requires_indices(self):
         gamma = super_lattice()
         plain = PointSet(gamma.points, gamma.window_radius)
@@ -228,6 +235,14 @@ class TestInterpolationProblem:
         with pytest.raises(ValidationError):
             InterpolationProblem(
                 gamma=gamma, alpha=ALPHA, lattice_spacing=-1.0, data={}
+            )
+
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_rejects_non_finite_alpha(self, alpha):
+        with pytest.raises(ValidationError):
+            InterpolationProblem(
+                gamma=sub_lattice(), alpha=alpha, lattice_spacing=SUB_SPACING, data={}
             )
 
 

@@ -81,6 +81,12 @@ class TestFockFunctionDocs:
         with pytest.raises(ValidationError):
             fock_function_from_doc({"alpha": 1.0, "repr": "wavelet"})
 
+    def test_non_numeric_alpha_rejected(self):
+        with pytest.raises(ValidationError):
+            fock_function_from_doc(
+                {"alpha": "abc", "repr": "monomial", "coeffs": [[1.0, 0.0]]}
+            )
+
     def test_missing_field_rejected(self):
         with pytest.raises(ValidationError):
             fock_function_from_doc({"repr": "monomial", "coeffs": [[1.0, 0.0]]})
@@ -126,6 +132,32 @@ class TestPointSetFormats:
         with pytest.raises(ValidationError):
             point_set_from_csv("a,b\n1,2\n", 1.0)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "x,y\n0,0\nabc,1\n",
+            "x,y\n0,0\n1\n",
+            "x,y,m,n\n0,0,0,0\n1,0,one,0\n",
+            "x,y,m,n\n0,0,0,0\n1,0,1\n",
+        ],
+    )
+    def test_malformed_csv_row_rejected(self, text):
+        with pytest.raises(ValidationError):
+            point_set_from_csv(text, 3.0)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"window_radius": "abc", "points": [[0.0, 0.0]]},
+            {"window_radius": None, "points": [[0.0, 0.0]]},
+            {"window_radius": 1.0, "points": [[0.0, 0.0]], "indices": [["a", 0]]},
+            {"window_radius": 1.0, "points": [[0.0, 0.0]], "indices": [[1.5, 0]]},
+        ],
+    )
+    def test_malformed_doc_numbers_rejected(self, doc):
+        with pytest.raises(ValidationError):
+            point_set_from_doc(doc)
+
 
 class TestProblemDocs:
     def test_round_trip(self):
@@ -144,6 +176,22 @@ class TestProblemDocs:
 
     def test_duplicate_nodes_rejected(self):
         doc = problem_doc(1.0, 1.0, [1.0j, 1.0j], [1.0 + 0.0j, 2.0 + 0.0j])
+        with pytest.raises(ValidationError):
+            problem_from_doc(doc)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("alpha", "abc"),
+            ("alpha", [1.0]),
+            ("lattice_spacing", None),
+            ("lattice_spacing", -1.0),
+            ("lattice_spacing", math.nan),
+        ],
+    )
+    def test_bad_numbers_rejected(self, key, value):
+        doc = problem_doc(1.0, 1.0, [0.0j, 1.0j], [1.0 + 0.0j, 2.0 + 0.0j])
+        doc[key] = value
         with pytest.raises(ValidationError):
             problem_from_doc(doc)
 

@@ -34,6 +34,14 @@ class TestFrameMatrix:
         want[0, 0] = 1.0
         assert np.array_equal(S, want)
 
+    @pytest.mark.parametrize("alpha", [0.0, math.nan, math.inf])
+    def test_rejects_bad_alpha(self, alpha):
+        gam = square_lattice(1.0, 3.0)
+        with pytest.raises(ValidationError):
+            frame_matrix(gam, alpha, 4)
+        with pytest.raises(ValidationError):
+            frame_bounds(gam, alpha, 4, 3.0)
+
     def test_exactly_hermitian(self):
         from fockspace.pointsets import perturb
 

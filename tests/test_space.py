@@ -3,8 +3,11 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fockspace import errors, space
 from fockspace.space import FockFunction, LogComplex
@@ -163,6 +166,72 @@ class TestNorm2:
         gram = np.exp(np.conj(zs)[:, None] * zs[None, :])
         want = math.sqrt(np.real(ws @ gram @ np.conj(ws)))
         assert space.norm2(f) == pytest.approx(want, rel=1e-12)
+
+
+    def test_zero_weight_node_drops_out(self):
+        nodes = [0.4 + 0.1j, -1.3 + 0.7j, 0.8 - 1.2j]
+        weights = [1.0 - 0.5j, 0.0, 0.3j]
+        f = combo(1.0, nodes, weights)
+        g = combo(1.0, [nodes[0], nodes[2]], [weights[0], weights[2]])
+        h = combo(1.0, [2.0 + 0.5j, -0.3j], [0.7, 1.0 + 1.0j])
+        assert space.norm2(f) == pytest.approx(space.norm2(g), rel=1e-15)
+        assert space.inner(f, h) == pytest.approx(space.inner(g, h), rel=1e-15)
+        assert space.inner(h, f) == pytest.approx(space.inner(h, g), rel=1e-15)
+
+
+@st.composite
+def term_columns(draw):
+    """(rows, columns) complex logs: spread, cancelling, zero and empty columns.
+
+    Each column sits at its own scale anywhere in [-700, 700]. A
+    cancelling column pairs every term with a near-negative partner of
+    equal or nearly equal modulus.
+    """
+    n = draw(st.integers(1, 8))
+    cols = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["spread", "cancel", "zeros", "empty"]))
+        if kind == "empty":
+            cols.append([complex(-math.inf, 0.0)] * n)
+            continue
+        center = draw(st.floats(-700.0, 700.0))
+        offsets = st.floats(-40.0, 0.0)
+        phases = st.floats(-math.pi, math.pi)
+        col = [complex(center + draw(offsets), draw(phases)) for _ in range(n)]
+        if kind == "cancel":
+            for k in range(n // 2):
+                nudge = draw(st.sampled_from([0.0, 1e-12, -3e-9, 1e-6]))
+                col[n - 1 - k] = complex(col[k].real + nudge, col[k].imag + math.pi)
+        elif kind == "zeros":
+            for k in draw(st.sets(st.integers(0, n - 1), max_size=n - 1)):
+                col[k] = complex(-math.inf, 0.0)
+        cols.append(col)
+    return np.array(cols, dtype=np.complex128).T
+
+
+class TestCombineTermLogs:
+    @given(term_columns())
+    def test_matches_mpmath_sum(self, logs):
+        # the absolute error stays within 4 n eps of the largest term,
+        # plus the last-place rounding of the log the sum is stored in
+        # (about 1e-13 relative at |log| = 700, which no summation avoids)
+        eps = np.finfo(float).eps
+        n = logs.shape[0]
+        got = space._combine_term_logs(logs)
+        mpmath.mp.dps = 30
+        for col, out in zip(logs.T, got):
+            finite = [t for t in col if t.real != -math.inf]
+            if not finite:
+                assert out.real == -math.inf
+                continue
+            top = max(t.real for t in finite)
+            exact = mpmath.fsum(mpmath.exp(mpmath.mpc(t.real, t.imag) - top) for t in finite)
+            if out.real == -math.inf:
+                err, last_place = abs(exact), 0.0
+            else:
+                err = abs(mpmath.exp(mpmath.mpc(out.real, out.imag) - top) - exact)
+                last_place = math.ulp(out.real)
+            assert err <= 4 * n * eps + abs(exact) * last_place
 
 
 class TestNormInf:
