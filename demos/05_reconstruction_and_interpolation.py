@@ -69,8 +69,8 @@ print("  data l2 norm:       ", rep.data_norm)
 print("  interpolant norm:   ", rep.interpolant_norm)
 print("  ratio:              ", rep.ratio)
 
-# Reusing the built evaluator with new data is cheap: the node products
-# and cached tables are shared.
+# Reusing the built evaluator with new data is cheap: the canonical
+# product and its derivatives at the nodes are shared.
 indicator = {z: (1.0 + 0.0j if abs(z) < 1e-9 else 0.0j) for z in data}
 ev2 = ev.with_data(indicator)
 print("indicator data: value at origin =", ev2.eval_weighted(0.0j))

@@ -501,33 +501,43 @@ def gfun_log(cp: CanonicalProduct, z: complex) -> LogComplex:
     return LogComplex(val.real, val.imag)
 
 
-def gfun_derivative_at_node(cp: CanonicalProduct, node_index) -> LogComplex:
-    """Log form of g'(z_mn) at a simple zero.
+def _node_derivative_logs(cp: CanonicalProduct, indices) -> np.ndarray:
+    """Complex logs of g'(z_mn) at the nodes of an (n, 2) index array.
 
     At a simple zero the derivative is the product of all remaining
     factors times the derivative of the vanishing one, so it is
-    evaluated in log form over every ratio rather than by differencing.
-    At an undisplaced node the vanishing factor is sigma's, and
-    sigma'(lambda) follows in closed form from the quasi-period law.
+    evaluated in log form over every ratio rather than by differencing,
+    for all nodes in one near-field call. At an undisplaced node the
+    vanishing factor is sigma's, and sigma'(lambda) follows in closed
+    form from the quasi-period law. Phases are reduced to (-pi, pi].
 
     Raises
     ------
     PointNotInSet
-        If the index does not belong to the point set.
+        If an index does not belong to the point set.
     TruncationTooSmall
-        If the node lies outside the truncation square.
+        If a node lies outside the truncation square.
     """
-    m, n = int(node_index[0]), int(node_index[1])
-    if (m, n) not in cp._index_of:
-        raise PointNotInSet(f"index ({m}, {n}) is not in the point set")
-    zq = complex(cp.gamma.points[cp._index_of[(m, n)]])
     M = cp.truncation_index
-    _check_truncation(np.abs(np.array([zq])) / cp.lattice.spacing, M)
-    if max(abs(m), abs(n)) > M:
-        raise TruncationTooSmall(
-            f"node index ({m}, {n}) lies outside the truncation square M={M}"
-        )
-    total = complex(_near_log(cp, np.array([zq]), M + 1)[0][0])
+    pos = []
+    for m, n in np.asarray(indices, dtype=np.int64).reshape(-1, 2).tolist():
+        if (m, n) not in cp._index_of:
+            raise PointNotInSet(f"index ({m}, {n}) is not in the point set")
+        if max(abs(m), abs(n)) > M:
+            raise TruncationTooSmall(
+                f"node index ({m}, {n}) lies outside the truncation square M={M}"
+            )
+        pos.append(cp._index_of[(m, n)])
+    zq = cp.gamma.points[pos]
+    _check_truncation(np.abs(zq) / cp.lattice.spacing, M)
+    total = _near_log(cp, zq, M + 1)[0]
+    return total.real + 1j * reduce_phase(total.imag)
+
+
+def gfun_derivative_at_node(cp: CanonicalProduct, node_index) -> LogComplex:
+    """Log form of g'(z_mn) at a simple zero; the one-node case of
+    :func:`_node_derivative_logs`, with the same errors."""
+    total = complex(_node_derivative_logs(cp, [node_index])[0])
     return LogComplex(total.real, total.imag)
 
 

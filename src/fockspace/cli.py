@@ -286,7 +286,7 @@ def _cmd_interpolate(args):
         "alpha": alpha,
         "lattice_spacing": spacing,
         "beta": problem.beta,
-        "nodes_in_radius": len(ev._nodes),
+        "nodes_in_radius": len(ev._basis.nodes),
         "max_interior_residual": residual_check(ev),
         "pointwise_bound_constant": ev.pointwise_bound(),
     }

@@ -2,28 +2,33 @@
 
 Two regimes, split by the density beta/pi of the lattice the point set
 tracks, against the space parameter alpha. Both are Lagrange-type
-series ``sum_i c_i L_i(z)`` over the nodes z_i, on one basis form
-``L_i(z) = h_i(z) / (z - z_i)``. Each h_i has a simple zero at z_i with
-derivative 1 and vanishes at every other node, so ``L_i(z_j)`` is 1
-for j = i and 0 otherwise:
+series ``sum_i c_i L_i(z)`` over the nodes z_i, on one basis
 
-* Reconstruction (beta > alpha): ``h_i = g / g'(z_i)`` with g the
-  canonical product of the whole set. The coefficients are the samples,
-  ``c_i = f(z_i)``, and the series
+    L_i(z) = g(z) exp(kappa conj(z_i) (z - z_i)) / (g'(z_i) (z - z_i)),
+
+with g the canonical product of the whole set, which vanishes at every
+node, so ``L_i(z_j)`` is 1 for j = i and 0 otherwise:
+
+* Reconstruction (beta > alpha): kappa = 0. The coefficients are the
+  samples, ``c_i = f(z_i)``, and the series
   ``f(z) = sum f(z_mn) / g'(z_mn) * g(z) / (z - z_mn)`` recovers f.
-* Interpolation (beta < alpha): ``h_i(z) = exp(alpha (conj(z_i) z -
-  |z_i|^2)) g_t(z - z_i)`` with g_t the canonical product of the
-  translated set Gamma - z_i. The coefficients are
-  ``c_i = a~_i = a_i exp(+alpha |z_i|^2 / 2)``, and the series solves
-  the weighted interpolation problem.
+* Interpolation (beta < alpha): kappa = alpha - beta. The coefficients
+  are ``c_i = a~_i = a_i exp(+alpha |z_i|^2 / 2)``, and the series
+  solves the weighted interpolation problem. On the lattice, where g is
+  sigma, the quasi-period law turns L_i into the sigma translate
+  ``exp(alpha (conj(z_i) z - |z_i|^2)) sigma(z - z_i) / (z - z_i)``.
+  As ``|g(z)| exp(-beta |z|^2 / 2)`` is comparable to the distance to
+  the set (up to slowly varying factors off the lattice), the weighted
+  term decays like ``exp(-kappa |z - z_i|^2 / 2)``: the Gaussian factor
+  localizes it.
 
 Data targets follow the weighted convention: a_mn prescribes
 ``exp(-alpha |z_mn|^2 / 2) f(z_mn)``, hence the coefficient a~_mn.
 Basis and coefficients are complex logs (see :mod:`fockspace.space`)
 and one log-sum-exp adds the terms, so the large opposing exponentials
 cancel before exponentiation. The basis holds ``L_i(z_i) = 1``
-exactly, and every other term vanishes exactly at a node (the products
-carry exact zeros), so node identities hold at rounding level.
+exactly, and every other term vanishes exactly at a node (the product
+carries exact zeros), so node identities hold at rounding level.
 
 Both series are truncated by node radius. Residuals are reported over
 the interior (half the truncation radius) only, so truncation effects
@@ -35,11 +40,16 @@ boundary lattice is neither a set of sampling nor one of interpolation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .canonical import canonical_product, gfun_derivative_at_node, _gfun_log_many
+from .canonical import (
+    CanonicalProduct,
+    _gfun_log_many,
+    _node_derivative_logs,
+    canonical_product,
+)
 from .errors import (
     DensityOrderViolated,
     MissingSamples,
@@ -60,6 +70,8 @@ __all__ = [
 ]
 
 _CRITICAL_BAND = 1e-9
+# basis cells (nodes x points) per block of a series sum
+_SERIES_CELLS = 1 << 19
 
 
 def _sq(z):
@@ -116,22 +128,50 @@ def _gather(gamma: PointSet, data: dict, radius: float, what: str):
     return nodes, gamma.indices[inside], values
 
 
-def _lagrange_basis(nodes: np.ndarray, zs: np.ndarray, h_log) -> np.ndarray:
-    """Complex logs of ``L_i(z) = h_i(z) / (z - z_i)``, shape (nodes, points).
+@dataclass(frozen=True, slots=True, eq=False)
+class _LagrangeBasis:
+    """``L_i(z) = g(z) exp(kappa conj(z_i) (z - z_i)) / (g'(z_i) (z - z_i))``.
 
-    ``h_log(i, w)`` returns the complex log of h_i at ``z_i + w``, where
-    ``w = zs - z_i``. At ``z = z_i`` the row holds ``L_i = 1`` exactly,
-    the limit for an h_i with a simple zero of derivative 1 there. Rows
-    are built one at a time, so the result is the only array of full
-    size.
+    ``product`` is the canonical product g of the whole set, ``nodes``
+    the z_i and ``node_dlogs`` the complex logs of g'(z_i).
     """
-    out = np.empty((len(nodes), zs.size), dtype=np.complex128)
-    for i, node in enumerate(nodes):
-        w = zs - node
-        hit = w == 0
-        out[i] = h_log(i, w) - _log(np.where(hit, 1.0, w))
-        out[i, hit] = 0.0
-    return out
+
+    product: CanonicalProduct
+    nodes: np.ndarray
+    node_dlogs: np.ndarray
+    kappa: float
+
+    @classmethod
+    def of(cls, gamma: PointSet, spacing: float, M: int, nodes, node_indices, kappa: float):
+        cp = canonical_product(gamma, SquareLattice(spacing), M)
+        return cls(cp, nodes, _node_derivative_logs(cp, node_indices), kappa)
+
+    def logs(self, zs: np.ndarray, glog: np.ndarray) -> np.ndarray:
+        """Complex logs of the basis at ``zs``, shape (nodes, points).
+
+        ``glog`` holds log g at ``zs``. At ``z = z_i`` row i holds
+        ``L_i = 1`` exactly and every other row an exact zero. Rows are
+        built one at a time, so the result is the only full-size array.
+        """
+        out = np.empty((self.nodes.size, zs.size), dtype=np.complex128)
+        for i, node in enumerate(self.nodes):
+            w = zs - node
+            hit = w == 0
+            out[i] = glog - self.node_dlogs[i] + self.kappa * np.conj(node) * w
+            out[i] -= _log(np.where(hit, 1.0, w))
+            out[i, hit] = 0.0
+        return out
+
+    def series(self, coeff_logs: np.ndarray, zs: np.ndarray) -> np.ndarray:
+        """Complex log of ``sum_i c_i L_i`` at ``zs``, summed in column
+        blocks of at most ``_SERIES_CELLS`` basis cells to bound memory."""
+        glog = _gfun_log_many(self.product, zs)
+        out = np.empty(zs.size, dtype=np.complex128)
+        width = max(1, _SERIES_CELLS // max(self.nodes.size, 1))
+        for start in range(0, zs.size, width):
+            cols = slice(start, start + width)
+            out[cols] = _combine_term_logs(self.logs(zs[cols], glog[cols]) + coeff_logs[:, None])
+        return out
 
 
 def lagrange_reconstruct(gamma: PointSet, alpha: float, samples: dict, z, truncation_radius: float):
@@ -165,7 +205,6 @@ def lagrange_reconstruct(gamma: PointSet, alpha: float, samples: dict, z, trunca
     _require_reconstruction_regime(beta, alpha)
 
     zs = np.asarray(z, dtype=np.complex128)
-    scalar = zs.ndim == 0
     flat = zs.ravel()
     if np.any(np.abs(flat) >= truncation_radius / 2.0):
         raise ValidationError(
@@ -174,20 +213,14 @@ def lagrange_reconstruct(gamma: PointSet, alpha: float, samples: dict, z, trunca
     nodes, node_indices, values = _gather(gamma, samples, truncation_radius, "sample")
 
     M = int(math.ceil(2.0 * truncation_radius / spacing)) + 20
-    cp = canonical_product(gamma, SquareLattice(spacing), M)
-    glog = _gfun_log_many(cp, flat)
-    dlogs = [
-        complex(d.log_mag, d.phase)
-        for d in (gfun_derivative_at_node(cp, (int(m), int(n))) for m, n in node_indices)
-    ]
-    basis = _lagrange_basis(nodes, flat, lambda i, w: glog - dlogs[i])
-    out = np.exp(_combine_term_logs(basis + _log(values)[:, None]))
+    basis = _LagrangeBasis.of(gamma, spacing, M, nodes, node_indices, 0.0)
+    out = np.exp(basis.series(_log(values), flat))
 
     # direct return of the sample at an exact sample point
     hit = np.isin(flat, nodes)
     out[hit] = [samples[complex(p)] for p in flat[hit]]
     out = out.reshape(zs.shape)
-    return complex(out[()]) if scalar else out
+    return complex(out[()]) if zs.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -227,47 +260,32 @@ class InterpolationProblem:
 class InterpolantEvaluator:
     """Evaluator of the explicit interpolation series.
 
-    Caches one canonical product per contributing node (the product of
-    the translated set, whose closest-to-origin point is exactly 0) and
-    assembles the series in the log domain. Use :meth:`eval` for plain
-    values, :meth:`eval_weighted` for the bounded weighted values, and
-    :meth:`with_data` to reuse the cached products for new targets on
-    the same nodes.
+    Holds the Lagrange basis (the one canonical product of the set and
+    its derivatives at the nodes) and the targets. Use :meth:`eval` for
+    plain values, :meth:`eval_weighted` for the bounded weighted values,
+    and :meth:`with_data` to reuse the basis for new targets on the
+    same nodes.
     """
 
     problem: InterpolationProblem
     truncation_radius: float
-    _nodes: np.ndarray
+    _basis: _LagrangeBasis
     _targets: np.ndarray
-    _products: list
-    _cache: dict = field(default_factory=dict)
 
-    def _basis(self, zs: np.ndarray) -> np.ndarray:
-        """Lagrange basis of the explicit series at the points ``zs``."""
-        alpha = self.problem.alpha
-
-        def h_log(i, w):
-            node = self._nodes[i]
-            expo = alpha * (np.conj(node) * zs - np.conj(node) * node)
-            return expo + _gfun_log_many(self._products[i], w)
-
-        return _lagrange_basis(self._nodes, zs, h_log)
-
-    def _series(self, basis: np.ndarray) -> np.ndarray:
-        """Complex log of ``sum_i a~_i L_i`` per column of a basis."""
-        coeff_logs = _log(self._targets) + 0.5 * self.problem.alpha * _sq(self._nodes)
-        return _combine_term_logs(basis + coeff_logs[:, None])
+    def _series(self, zs: np.ndarray) -> np.ndarray:
+        """Complex log of ``sum_i a~_i L_i`` at the points ``zs``."""
+        coeff_logs = _log(self._targets) + 0.5 * self.problem.alpha * _sq(self._basis.nodes)
+        return self._basis.series(coeff_logs, zs)
 
     def _values(self, z, weight: float):
         """``exp(-weight |z|^2) f(z)`` at a point or an array of points."""
         zs = np.asarray(z, dtype=np.complex128)
         flat = zs.ravel()
-        logs = self._series(self._basis(flat)) - weight * _sq(flat)
-        out = np.exp(logs).reshape(zs.shape)
+        out = np.exp(self._series(flat) - weight * _sq(flat)).reshape(zs.shape)
         return complex(out[()]) if zs.ndim == 0 else out
 
     def with_data(self, data: dict) -> "InterpolantEvaluator":
-        """Evaluator for new targets on the same nodes, products reused."""
+        """Evaluator for new targets on the same nodes, basis reused."""
         problem = replace(self.problem, data=data)
         _, _, targets = _gather(problem.gamma, data, self.truncation_radius, "datum")
         return replace(self, problem=problem, _targets=targets)
@@ -283,20 +301,14 @@ class InterpolantEvaluator:
     def pointwise_bound(self, grid_step: float = 0.5) -> float:
         """Reported constant C with |weighted f| <= (1 + sup|a|) C inside.
 
-        Scans the interior grid |z| <= truncation_radius / 2. The grid
-        basis logs are cached, so rescans and re-data'd evaluators are
-        cheap.
+        Scans the interior grid |z| <= truncation_radius / 2.
         """
         half = self.truncation_radius / 2.0
         n = int(math.floor(half / grid_step))
-        key = ("interior", float(grid_step))
-        if key not in self._cache:
-            axis = grid_step * np.arange(-n, n + 1)
-            grid = (axis[None, :] + 1j * axis[:, None]).ravel()
-            grid = grid[np.abs(grid) <= half]
-            self._cache[key] = (grid, self._basis(grid))
-        grid, basis = self._cache[key]
-        logs = self._series(basis).real
+        axis = grid_step * np.arange(-n, n + 1)
+        grid = (axis[None, :] + 1j * axis[:, None]).ravel()
+        grid = grid[np.abs(grid) <= half]
+        logs = self._series(grid).real
         sup_w = float(np.max(logs - 0.5 * self.problem.alpha * _sq(grid)))
         sup_a = max((abs(complex(v)) for v in self._targets), default=0.0)
         return math.exp(sup_w) / (1.0 + sup_a)
@@ -305,17 +317,10 @@ class InterpolantEvaluator:
 def build_interpolant(problem: InterpolationProblem, truncation_radius: float) -> InterpolantEvaluator:
     """Construct the explicit-series evaluator for a subcritical set.
 
-    Caches the canonical product of the translated set Gamma - z_mn for
-    every node carrying data within the truncation radius.
-
-    Each translate keeps the window radius ``W + |z_mn|`` about the
-    origin, where W is the data set's own. The product of a translate
-    carries no zero at a lattice site of that larger disk which the
-    shifted data disk does not cover: such a site counts as a removed
-    interior point. On the density-0.8 benchmark problem (window 12,
-    radius 10, 81 nodes) this leaves 0 to 264 zero-free sites per
-    product, median 180. The product of the full translate would have
-    zeros there instead.
+    Builds the one canonical product g of the set, with truncation
+    index ``ceil(4 R / s) + 20`` for radius R and spacing s, and its
+    derivatives at every node carrying data within the truncation
+    radius.
 
     Raises
     ------
@@ -329,26 +334,15 @@ def build_interpolant(problem: InterpolationProblem, truncation_radius: float) -
     if truncation_radius <= 0.0:
         raise ValidationError("truncation_radius must be positive")
     _require_interpolation_regime(problem.beta, problem.alpha)
-    gamma = problem.gamma
     spacing = problem.lattice_spacing
-    nodes, node_indices, targets = _gather(gamma, problem.data, truncation_radius, "datum")
-
+    nodes, node_indices, targets = _gather(problem.gamma, problem.data, truncation_radius, "datum")
     M = int(math.ceil(4.0 * truncation_radius / spacing)) + 20
-    lattice = SquareLattice(spacing)
-    products = []
-    for pos in range(len(nodes)):
-        shifted = PointSet(
-            gamma.points - nodes[pos],
-            gamma.window_radius + abs(complex(nodes[pos])),
-            indices=gamma.indices - node_indices[pos][None, :],
-        )
-        products.append(canonical_product(shifted, lattice, M))
+    kappa = problem.alpha - problem.beta
     return InterpolantEvaluator(
         problem=problem,
         truncation_radius=truncation_radius,
-        _nodes=nodes,
+        _basis=_LagrangeBasis.of(problem.gamma, spacing, M, nodes, node_indices, kappa),
         _targets=targets,
-        _products=products,
     )
 
 
@@ -359,10 +353,10 @@ def residual_check(ev: InterpolantEvaluator) -> float:
     dominated by series truncation and excluded deliberately.
     """
     half = ev.truncation_radius / 2.0
-    mask = np.abs(ev._nodes) <= half
+    mask = np.abs(ev._basis.nodes) <= half
     if not np.any(mask):
         return 0.0
-    got = ev.eval_weighted(ev._nodes[mask])
+    got = ev.eval_weighted(ev._basis.nodes[mask])
     return float(np.max(np.abs(got - ev._targets[mask])))
 
 
@@ -389,7 +383,6 @@ def norm_growth_report(ev: InterpolantEvaluator, N: int) -> NormGrowthReport:
     quadrature over the disk of radius sqrt(N/alpha) + 4/sqrt(alpha)
     (Gauss-Legendre radially, uniform angles resolved by FFT), and the
     reported norm is the l2 norm of the projection coefficients.
-    Diagnostics from the cached products propagate.
     """
     N = int(N)
     if N < 0:
@@ -397,24 +390,18 @@ def norm_growth_report(ev: InterpolantEvaluator, N: int) -> NormGrowthReport:
     alpha = ev.problem.alpha
     radius = math.sqrt(N / alpha) + 4.0 / math.sqrt(alpha)
     n_r = 32
-    max_node = max((abs(complex(p)) for p in ev._nodes), default=0.0)
+    max_node = max((abs(complex(p)) for p in ev._basis.nodes), default=0.0)
     # resolve every angular harmonic the kernel factors can carry on
     # the disk, plus the projection degrees themselves
     bandwidth = int(math.ceil(2.0 * alpha * max_node * radius)) + 4 * (N + 1)
     n_theta = 1 << max(6, (bandwidth - 1).bit_length())
 
-    key = ("disk", N)
-    if key not in ev._cache:
-        xs, ws = np.polynomial.legendre.leggauss(n_r)
-        rs = (xs + 1.0) * (radius / 2.0)
-        wr = ws * (radius / 2.0)
-        thetas = 2.0 * math.pi * np.arange(n_theta) / n_theta
-        grid = rs[:, None] * np.exp(1j * thetas)[None, :]
-        ev._cache[key] = (rs, wr, ev._basis(grid.ravel()))
-    rs, wr, basis = ev._cache[key]
-
-    flat_r = np.repeat(rs, n_theta)
-    weighted = np.exp(ev._series(basis) - 0.5 * alpha * flat_r**2).reshape(n_r, n_theta)
+    xs, ws = np.polynomial.legendre.leggauss(n_r)
+    rs = (xs + 1.0) * (radius / 2.0)
+    wr = ws * (radius / 2.0)
+    thetas = 2.0 * math.pi * np.arange(n_theta) / n_theta
+    grid = (rs[:, None] * np.exp(1j * thetas)[None, :]).ravel()
+    weighted = np.exp(ev._series(grid) - 0.5 * alpha * _sq(grid)).reshape(n_r, n_theta)
     harmonics = np.fft.fft(weighted, axis=1) * (2.0 * math.pi / n_theta)
     radial_weight = (alpha / math.pi) * wr * rs
     radial_basis = np.exp(_monomial_logs(alpha, N, rs))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from fockspace.canonical import (
     _gfun_log_many,
+    _node_derivative_logs,
     _sigma_parts,
     canonical_product,
     gfun_derivative_at_node,
@@ -291,6 +292,7 @@ class TestBlockedKernelOracle:
             for p in gam.points
         ])
         assert_logs_agree(got, want)
+        assert_logs_agree(_node_derivative_logs(cp, gam.indices), want)
 
 
 class TestSigma:

@@ -2,9 +2,13 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fockspace.canonical import _gfun_log_many
 from fockspace.errors import (
     DensityOrderViolated,
     MissingSamples,
@@ -415,3 +419,78 @@ class TestNormGrowth:
         ev = build_interpolant(sub_problem(6.0), 6.0)
         with pytest.raises(ValidationError):
             norm_growth_report(ev, -1)
+
+
+def basis_logs(ev, zs):
+    """Complex logs of the evaluator's Lagrange basis at ``zs``, (nodes, points)."""
+    basis = ev._basis
+    return basis.logs(zs, _gfun_log_many(basis.product, zs))
+
+
+def mp_sigma(s, z):
+    """sigma(z) of the square lattice of spacing s, from mpmath's theta_1."""
+    q = mpmath.exp(-mpmath.pi)
+    return (
+        (s / mpmath.pi)
+        * mpmath.exp(mpmath.pi * z**2 / (2 * s**2))
+        * mpmath.jtheta(1, mpmath.pi * z / s, q)
+        / mpmath.jtheta(1, 0, q, 1)
+    )
+
+
+class TestOneProductBasis:
+    def test_lattice_basis_is_the_sigma_translate(self):
+        # on the exact lattice the quasi-period law makes every basis
+        # function the sigma translate exp(alpha(conj(z_i) z - |z_i|^2))
+        # sigma(z - z_i) / (z - z_i), node by node
+        gamma = scale_lattice_to_density(ALPHA, 0.8, 12.0)
+        prob = InterpolationProblem(
+            gamma=gamma, alpha=ALPHA, lattice_spacing=SUB_SPACING,
+            data=bounded_data(gamma, 10.0, 1),
+        )
+        ev = build_interpolant(prob, 10.0)
+        zs = np.array([0.37 + 0.21j, -1.3 + 2.2j, 2.9 - 0.6j, -3.1 - 2.7j, 0.9 + 4.1j])
+        got = np.exp(basis_logs(ev, zs))
+        worst = 0.0
+        with mpmath.workdps(30):
+            for node, row in zip(ev._basis.nodes, got):
+                zi = mpmath.mpc(node.real, node.imag)
+                for z, val in zip(zs, row):
+                    zz = mpmath.mpc(z.real, z.imag)
+                    want = complex(
+                        mpmath.exp(ALPHA * (mpmath.conj(zi) * zz - abs(zi) ** 2))
+                        * mp_sigma(SUB_SPACING, zz - zi)
+                        / (zz - zi)
+                    )
+                    worst = max(worst, abs(val - want) / abs(want))
+        assert worst <= 1e-12
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        ratio=st.sampled_from([0.5, 0.8, 0.9]),
+        shift=st.floats(0.0, 0.2),
+        seed=st.integers(0, 2**16),
+    )
+    def test_perturbed_sets_interpolate_and_localize(self, ratio, shift, seed):
+        spacing = math.sqrt(math.pi / (ALPHA * ratio))
+        gamma = perturb(square_lattice(spacing, 16.0), shift * spacing, seed=seed)
+        prob = InterpolationProblem(
+            gamma=gamma, alpha=ALPHA, lattice_spacing=spacing,
+            data=bounded_data(gamma, 12.0, seed),
+        )
+        ev = build_interpolant(prob, 12.0)
+        assert residual_check(ev) <= 1e-12
+
+        # weighted |L_i(z)| exp(alpha (|z_i|^2 - |z|^2) / 2) decays like
+        # exp(-kappa |z - z_i|^2 / 2), kappa = alpha - beta, off the node
+        grid = disk_grid(6.0, 0.25)
+        nodes = ev._basis.nodes
+        near = np.abs(nodes) <= 4.0
+        w = np.abs(grid[None, :] - nodes[near][:, None])
+        kappa = ALPHA * (1.0 - ratio)
+        weighted = (
+            basis_logs(ev, grid)[near].real
+            + 0.5 * ALPHA * (np.abs(nodes[near])[:, None] ** 2 - np.abs(grid)[None, :] ** 2)
+            + 0.5 * kappa * w**2
+        )
+        assert float(np.max(weighted[w >= 2.0 * spacing])) < math.log(3.0)
