@@ -468,7 +468,7 @@ def _gfun_log_many(cp: CanonicalProduct, zs: np.ndarray) -> np.ndarray:
     cuts = np.minimum(
         M + 1, np.ceil(2.0 * az / s + 0.5).astype(np.int64).clip(min=1)
     )
-    for k0 in np.unique(cuts):
+    for k0 in np.flatnonzero(np.bincount(cuts)):
         sel = np.flatnonzero(cuts == k0)
         width = _padded(int(cp._moved_starts[k0])) + _padded(int(cp._bare_starts[k0]))
         coeffs = cp._far_sums[k0]

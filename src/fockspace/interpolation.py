@@ -43,6 +43,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.fft import fft
+from numpy.polynomial.legendre import leggauss
 
 from .canonical import (
     CanonicalProduct,
@@ -216,8 +218,11 @@ def lagrange_reconstruct(gamma: PointSet, alpha: float, samples: dict, z, trunca
     basis = _LagrangeBasis.of(gamma, spacing, M, nodes, node_indices, 0.0)
     out = np.exp(basis.series(_log(values), flat))
 
-    # direct return of the sample at an exact sample point
-    hit = np.isin(flat, nodes)
+    # direct return of the sample at an exact sample point, found by a
+    # sorted search (np.isin imports numpy.ma on first use) that ends in
+    # a NaN no query equals
+    sorted_nodes = np.append(np.sort(nodes), np.nan)
+    hit = sorted_nodes[np.searchsorted(sorted_nodes, flat)] == flat
     out[hit] = [samples[complex(p)] for p in flat[hit]]
     out = out.reshape(zs.shape)
     return complex(out[()]) if zs.ndim == 0 else out
@@ -396,13 +401,13 @@ def norm_growth_report(ev: InterpolantEvaluator, N: int) -> NormGrowthReport:
     bandwidth = int(math.ceil(2.0 * alpha * max_node * radius)) + 4 * (N + 1)
     n_theta = 1 << max(6, (bandwidth - 1).bit_length())
 
-    xs, ws = np.polynomial.legendre.leggauss(n_r)
+    xs, ws = leggauss(n_r)
     rs = (xs + 1.0) * (radius / 2.0)
     wr = ws * (radius / 2.0)
     thetas = 2.0 * math.pi * np.arange(n_theta) / n_theta
     grid = (rs[:, None] * np.exp(1j * thetas)[None, :]).ravel()
     weighted = np.exp(ev._series(grid) - 0.5 * alpha * _sq(grid)).reshape(n_r, n_theta)
-    harmonics = np.fft.fft(weighted, axis=1) * (2.0 * math.pi / n_theta)
+    harmonics = fft(weighted, axis=1) * (2.0 * math.pi / n_theta)
     radial_weight = (alpha / math.pi) * wr * rs
     radial_basis = np.exp(_monomial_logs(alpha, N, rs))
     coeffs = np.sum(radial_weight[:, None] * radial_basis * harmonics[:, : N + 1], axis=0)

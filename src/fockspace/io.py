@@ -19,7 +19,7 @@ import operator
 import numpy as np
 
 from .errors import ValidationError
-from .pointsets import DensityReport, PointSet
+from .pointsets import DensityReport, PointSet, _has_repeats
 from .sampling import FrameEstimate
 from .space import FockFunction
 
@@ -223,7 +223,7 @@ def problem_from_doc(doc: dict):
     data = _unpairs(_require(doc, "data", "problem document"), "data")
     if nodes.size != data.size:
         raise ValidationError("nodes and data must have the same length")
-    if nodes.size != np.unique(nodes).size:
+    if _has_repeats(nodes):
         raise ValidationError("problem nodes must be distinct")
     return alpha, spacing, nodes, data
 

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
+from numpy.random import default_rng
 
 from .errors import (
     CollisionAfterPerturbation,
@@ -45,6 +45,24 @@ __all__ = [
     "density_estimate",
     "nearest_distance",
 ]
+
+
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct entries of a 1-D array, the values ``np.unique`` gives.
+
+    ``np.unique`` imports ``numpy.ma`` on its first call, about 20 ms
+    that every CLI run would pay.
+    """
+    s = np.sort(values)
+    return s[np.concatenate(([True], s[1:] != s[:-1]))]
+
+
+def _has_repeats(values: np.ndarray) -> bool:
+    """Whether two entries of a 1-D array, or two rows of a 2-D one, are equal."""
+    if values.ndim == 2:
+        rows = values[np.lexsort(values.T)]
+        return bool(np.any(np.all(rows[1:] == rows[:-1], axis=1)))
+    return _sorted_unique(values).size != values.size
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -72,7 +90,7 @@ class PointSet:
             raise ValidationError("points must be a nonempty 1-D sequence")
         if not np.all(np.isfinite(pts)):
             raise ValidationError("points must be finite")
-        if len(np.unique(pts)) != len(pts):
+        if _has_repeats(pts):
             raise ValidationError("points must be pairwise distinct")
         w = float(self.window_radius)
         if not (math.isfinite(w) and w >= 0.0):
@@ -86,7 +104,7 @@ class PointSet:
             idx = np.asarray(self.indices, dtype=np.int64).copy()
             if idx.shape != (len(pts), 2):
                 raise ValidationError("indices must have shape (npoints, 2)")
-            if len(np.unique(idx, axis=0)) != len(idx):
+            if _has_repeats(idx):
                 raise ValidationError("lattice indices must be distinct per point")
             idx.flags.writeable = False
             object.__setattr__(self, "indices", idx)
@@ -96,10 +114,6 @@ class PointSet:
 
     def __len__(self):
         return len(self.points)
-
-    def xy(self) -> np.ndarray:
-        """Points as an (n, 2) real array, for spatial queries."""
-        return np.column_stack([self.points.real, self.points.imag])
 
     def __repr__(self):
         tag = ", indexed" if self.indices is not None else ""
@@ -214,12 +228,12 @@ def perturb(lattice: PointSet, max_shift: float, seed: int) -> PointSet:
     q = float(max_shift)
     if not (math.isfinite(q) and q >= 0.0):
         raise ValidationError("max_shift must be finite and nonnegative")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     n = len(lattice)
     radius = q * np.sqrt(rng.uniform(0.0, 1.0, n))
     theta = rng.uniform(0.0, 2.0 * np.pi, n)
     shifted = lattice.points + radius * np.exp(1j * theta)
-    if len(np.unique(shifted)) != n:
+    if _has_repeats(shifted):
         raise CollisionAfterPerturbation(
             "two perturbed points coincide; retry with another seed or a "
             "smaller max_shift"
@@ -230,8 +244,15 @@ def perturb(lattice: PointSet, max_shift: float, seed: int) -> PointSet:
 def separation(gamma: PointSet) -> float:
     """Exact minimal pairwise distance ``q``.
 
-    Uses a k-d tree, so uniformly discrete inputs of a million points
-    finish in seconds.
+    Every point's nearest neighbour comes from the certified bucket
+    search of :func:`_nearest_sq`, so ``q`` is the least
+    ``sqrt(dx*dx + dy*dy)`` over all pairs, bit for bit what a k-d tree
+    returns. A perturbed lattice of 282 697 points takes about 0.25 s
+    on one core. Time is linear in the size for sets of bounded density,
+    such as those uniformly close to a lattice; a set packed far more
+    densely in a few cells than over its bounding box pays the square
+    of those cells' occupancy (2 000 points within 1e-3 of the origin
+    and four at radius 100: about 0.1 s).
 
     Raises
     ------
@@ -240,18 +261,138 @@ def separation(gamma: PointSet) -> float:
     """
     if len(gamma) < 2:
         raise TooFewPoints("separation needs at least 2 points")
-    tree = cKDTree(gamma.xy())
-    dists, _ = tree.query(gamma.xy(), k=2, workers=-1)
-    return float(np.min(dists[:, 1]))
+    return float(np.sqrt(np.min(_nearest_sq(gamma.points, gamma.points, skip_self=True))))
 
 
 def nearest_distance(gamma: PointSet, zs) -> np.ndarray:
-    """Exact distance from each query point to the nearest set point."""
+    """Exact distance from each query point to the nearest set point.
+
+    Raises
+    ------
+    ValidationError
+        If a query point is not finite.
+    """
     zs = np.asarray(zs, dtype=np.complex128)
-    tree = cKDTree(gamma.xy())
-    q = np.column_stack([zs.ravel().real, zs.ravel().imag])
-    d, _ = tree.query(q, k=1, workers=-1)
-    return d.reshape(zs.shape)
+    if not np.all(np.isfinite(zs)):
+        raise ValidationError("query points must be finite")
+    return np.sqrt(_nearest_sq(gamma.points, zs.ravel())).reshape(zs.shape)
+
+
+# Candidate rows, and (query, point) pairs, per pass of the bucket search.
+_CHUNK = 1 << 16
+
+
+def _nearest_sq(points, queries, skip_self=False) -> np.ndarray:
+    """Exact squared distance from each query to its nearest point.
+
+    Each distance is ``dx*dx + dy*dy`` with ``dx = qx - px``, the sum a
+    k-d tree forms, so its square root matches one bit for bit. With
+    ``skip_self`` the queries are the points themselves and each one
+    skips its own index.
+
+    Points are bucketed into square cells of side ``h``, 0.7 times the
+    side that would hold one point each if the set filled its bounding
+    box, so a 3 x 3 block holds about four points of a uniform set. The
+    cells, ringed by one layer of empty ones, are stored row by row in
+    one CSR array, so one row of a block is one slice. A query's best
+    squared distance over the cells within ``r`` of its own is final
+    once it is at most the squared distance to the nearest cell outside
+    that block that holds points, less slack for rounding. Other queries
+    go round again with ``r`` doubled, until their block covers the
+    grid. Passes take about ``_CHUNK`` rows and ``_CHUNK`` candidate
+    pairs, so memory is ``O(n + chunk)`` however the points cluster.
+    """
+    px, py = points.real, points.imag
+    n = px.size
+    x0, y0 = float(px.min()), float(py.min())
+    wx, wy = float(px.max()) - x0, float(py.max()) - y0
+    h = 0.7 * max(math.sqrt(wx) * math.sqrt(wy / n), max(wx, wy) / n)
+    if 0.0 < h < math.inf:
+        nx, ny = int(wx / h) + 1, int(wy / h) + 1
+    else:  # one point, or a span that overflows: one cell
+        h, nx, ny = 1.0, 1, 1
+    ix = np.clip(np.floor((px - x0) / h), 0, nx - 1).astype(np.intp)
+    iy = np.clip(np.floor((py - y0) / h), 0, ny - 1).astype(np.intp)
+    cell = (iy + 1) * (nx + 2) + ix + 1
+    order = np.argsort(cell, kind="stable")
+    pts = points[order]
+    offsets = np.zeros((nx + 2) * (ny + 2) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(cell, minlength=offsets.size - 1), out=offsets[1:])
+
+    if skip_self:  # search in cell order, so query j skips point j
+        queries = pts
+    with np.errstate(over="ignore"):
+        u, v = (queries.real - x0) / h, (queries.imag - y0) / h
+    cx = np.floor(np.clip(u, -1, nx)).astype(np.intp)
+    cy = np.floor(np.clip(v, -1, ny)).astype(np.intp)
+    # Cell coordinates of points and queries each carry a relative error
+    # of about 2 ulp, so a point outside the block may lie that much
+    # closer than the block's edge.
+    slack = 4.0 * np.finfo(np.float64).eps * (np.abs(u) + np.abs(v) + nx + ny + 2)
+
+    best = np.full(queries.size, np.inf)
+    pending = np.arange(queries.size)
+    r = 1
+    while pending.size:
+        step = max(1, _CHUNK // (2 * r + 1))
+        for lo in range(0, pending.size, step):
+            sel = pending[lo : lo + step]
+            row = np.minimum(np.maximum(cy[sel, None] + np.arange(-r, r + 1), -1), ny)
+            row = (row + 1) * (nx + 2)
+            start = offsets[row + (np.maximum(cx[sel] - r, -1) + 1)[:, None]]
+            stop = offsets[row + (np.minimum(cx[sel] + r, nx) + 2)[:, None]]
+            best[sel] = _block_min(pts, queries[sel], start, stop - start,
+                                   sel if skip_self else None)
+        # Cells from each query to the nearest cell outside its block
+        # that holds points; inf once the block covers the grid.
+        c, d, up, vp = cx[pending], cy[pending], u[pending], v[pending]
+        margin = np.minimum(
+            np.minimum(np.where(c - r > 0, up - (c - r), np.inf),
+                       np.where(c + r < nx - 1, c + r + 1 - up, np.inf)),
+            np.minimum(np.where(d - r > 0, vp - (d - r), np.inf),
+                       np.where(d + r < ny - 1, d + r + 1 - vp, np.inf)),
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            reach = ((margin - slack[pending]) * h) ** 2 * (1.0 - 1e-12)
+        # Below 1e-290 subnormal rounding in the sums is no longer
+        # relative, so such a query widens until its block is the grid.
+        done = (margin == np.inf) | ((best[pending] <= reach) & (reach > 1e-290))
+        pending = pending[~done]
+        r *= 2
+    if skip_self:
+        best[order] = best.copy()
+    return best
+
+
+def _block_min(pts, queries, start, length, own):
+    """Smallest ``dx*dx + dy*dy`` over each query's CSR slices.
+
+    Row ``i`` of ``start``/``length`` lists query ``i``'s slices of the
+    cell-ordered points; ``own`` gives the point index each query skips,
+    or is None.
+    """
+    lens = length.ravel()
+    ends = np.cumsum(lens)
+    qend = ends[length.shape[1] - 1 :: length.shape[1]]
+    pairs = np.diff(qend, prepend=0)
+    best = np.full(queries.size, np.inf)
+    cuts = np.searchsorted(qend, np.arange(_CHUNK, qend[-1], _CHUNK))
+    for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, queries.size]):
+        if lo == hi:  # one query spans more than a chunk
+            continue
+        e0, e1 = qend[lo] - pairs[lo], qend[hi - 1]
+        if e0 == e1:
+            continue
+        rows = slice(lo * length.shape[1], hi * length.shape[1])
+        j = np.arange(e0, e1) + np.repeat((start.ravel() - ends + lens)[rows], lens[rows])
+        with np.errstate(over="ignore"):  # far queries: inf, as the tree gives
+            diff = np.repeat(queries[lo:hi], pairs[lo:hi]) - pts[j]
+            sq = diff.real * diff.real + diff.imag * diff.imag
+        if own is not None:
+            sq[j == np.repeat(own[lo:hi], pairs[lo:hi])] = np.inf
+        has = np.flatnonzero(pairs[lo:hi])
+        best[lo + has] = np.minimum.reduceat(sq, qend[lo:hi][has] - pairs[lo:hi][has] - e0)
+    return best
 
 
 def closeness(gamma: PointSet, lattice: SquareLattice):
@@ -273,7 +414,7 @@ def closeness(gamma: PointSet, lattice: SquareLattice):
     m = np.rint(gamma.points.real / s).astype(np.int64)
     n = np.rint(gamma.points.imag / s).astype(np.int64)
     matching = np.column_stack([m, n])
-    if len(np.unique(matching, axis=0)) != len(matching):
+    if _has_repeats(matching):
         raise NotUniformlyClose(
             "two points round to the same lattice index; the set is not "
             f"uniformly close to the spacing-{s:g} lattice"
@@ -298,7 +439,7 @@ def _with_midpoints(values: np.ndarray) -> np.ndarray:
     if len(values) < 2:
         return values
     mids = 0.5 * (values[:-1] + values[1:])
-    return np.unique(np.concatenate([values, mids]))
+    return _sorted_unique(np.concatenate([values, mids]))
 
 
 def counts(gamma: PointSet, r: float, translate_step: float):
@@ -347,7 +488,7 @@ def counts(gamma: PointSet, r: float, translate_step: float):
     xs, ys_by_x = gamma.points.real[order], gamma.points.imag[order]
 
     bx = np.concatenate([xs, xs - r])
-    by = np.unique(np.concatenate([ys_by_x, ys_by_x - r]))
+    by = _sorted_unique(np.concatenate([ys_by_x, ys_by_x - r]))
 
     # t_x values where the feasible t_y interval endpoint crosses a
     # horizontal event line; between these and the bx events the set of
@@ -359,7 +500,7 @@ def counts(gamma: PointSet, r: float, translate_step: float):
     grid = np.arange(xlo, xhi, step) if xhi > xlo else np.array([xlo])
 
     xcand = np.concatenate([bx, cross, grid, [xlo, xhi]])
-    xcand = np.unique(np.clip(xcand, xlo, xhi))
+    xcand = _sorted_unique(np.clip(xcand, xlo, xhi))
     tx = _with_midpoints(xcand)
 
     # Feasible t_y interval [-g, g - r] of each candidate t_x.

@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .errors import (
     AlphaMismatch,
@@ -177,7 +178,7 @@ def norm_decomposition_check(f: FockFunction, alpha: float, K: int) -> float:
         )
 
     def cell_integrals(order):
-        xs, ws = np.polynomial.legendre.leggauss(order)
+        xs, ws = leggauss(order)
         xs = xs * half
         ws = ws * half
         grid = (xs[None, :] + 1j * xs[:, None]).ravel()

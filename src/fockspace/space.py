@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import (
     AlphaMismatch,
@@ -41,6 +40,7 @@ from .errors import (
     UnsupportedRepresentation,
     ValidationError,
 )
+from .pointsets import _has_repeats
 
 __all__ = [
     "MAX_EXP",
@@ -182,7 +182,7 @@ class FockFunction:
                 raise ValidationError("nodes and weights must be matching 1-D sequences")
             if not (np.all(np.isfinite(zs)) and np.all(np.isfinite(ws))):
                 raise ValidationError("nodes and weights must be finite")
-            if len(np.unique(zs)) != len(zs):
+            if _has_repeats(zs):
                 raise ValidationError("kernel nodes must be pairwise distinct")
             zs.flags.writeable = False
             ws.flags.writeable = False
@@ -262,6 +262,47 @@ def _log(values) -> np.ndarray:
         return np.log(np.abs(values)) + 1j * np.angle(values)
 
 
+# Stirling-series coefficients and log(sqrt(2 pi)) of cephes ``lgam``.
+_LGAM_A = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+_LS2PI = 0.91893853320467274178
+
+
+def _log_factorials(N: int) -> np.ndarray:
+    """``log n!`` for ``n = 0..N``, bit for bit ``gammaln(n + 1)``."""
+    return np.array([_log_factorial(n) for n in range(N + 1)], dtype=np.float64)
+
+
+def _log_factorial(n: int) -> float:
+    """``log n!`` as cephes ``lgam(n + 1)`` computes it.
+
+    Below ``x = n + 1 = 13`` the factorial is exact and cephes' own
+    recurrence returns its log; above, this is cephes' Stirling form
+    with its ``x >= 1000`` and ``x > 1e8`` branches. It uses the scalar
+    ``math.log``, because numpy's vectorized log rounds some of these
+    arguments differently.
+    """
+    x = float(n + 1)
+    if x < 13.0:
+        return math.log(math.factorial(n))
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    if x > 1e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    poly = _LGAM_A[0]
+    for a in _LGAM_A[1:]:
+        poly = poly * p + a
+    return q + poly / x
+
+
 def _monomial_logs(alpha: float, N: int, zs) -> np.ndarray:
     """Complex logs of ``e_n(z) exp(-alpha |z|^2 / 2)``, shape (points, N+1).
 
@@ -274,7 +315,7 @@ def _monomial_logs(alpha: float, N: int, zs) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         radial = np.where(n[None, :] == 0, 0.0, n[None, :] * np.log(az)[:, None])
     log_mag = (
-        0.5 * (n[None, :] * math.log(alpha) - gammaln(n + 1.0)[None, :])
+        0.5 * (n[None, :] * math.log(alpha) - _log_factorials(N)[None, :])
         + radial
         - 0.5 * alpha * az[:, None] ** 2
     )

@@ -2,8 +2,10 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -665,3 +667,33 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip().endswith("0.1.0")
+
+    def test_runs_without_scipy_or_lazy_imports(self, tmp_path):
+        # A fresh interpreter, so modules the test session imported do not
+        # count. main must load neither scipy nor the numpy submodules and
+        # stdlib modules it would otherwise import lazily on first use.
+        script = f"""
+import sys
+import fockspace.cli as cli
+before = set(sys.modules)
+for argv in (
+    ["growth-check", "--alpha", "3.14159", "--spacing", "1", "--window", "8",
+     "--perturb", "0.2", "--seed", "3", "--grid-radius", "4", "--grid-step", "0.25",
+     "--out", {str(tmp_path / "growth")!r}],
+    ["frame", "--alpha", "1", "--density-ratio", "1.2", "--window", "8",
+     "--degree-ladder", "8,16", "--out", {str(tmp_path / "frame")!r}],
+):
+    assert cli.main(argv) == 0, argv
+lazy = {{"numpy.random", "numpy.fft", "numpy.polynomial", "numpy.ma", "locale"}}
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(sorted(lazy & (set(sys.modules) - before)))
+"""
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n")[-3:] == ["[]", "[]", ""]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from fockspace import errors, pointsets
 from fockspace.pointsets import PointSet, SquareLattice
@@ -430,6 +431,108 @@ class TestDensityEstimate:
         ps = pointsets.square_lattice(1.0, 10.0)
         with pytest.raises(errors.ValidationError):
             pointsets.density_estimate(ps, [3.0, 2.0], 0.5)
+
+
+def tree_nearest(points, zs):
+    """Reference nearest distances from a k-d tree, shaped like ``zs``."""
+    zs = np.asarray(zs, dtype=np.complex128)
+    tree = cKDTree(np.column_stack([points.real, points.imag]))
+    d, _ = tree.query(np.column_stack([zs.ravel().real, zs.ravel().imag]), k=1)
+    return d.reshape(zs.shape)
+
+
+def tree_separation(points):
+    xy = np.column_stack([points.real, points.imag])
+    d, _ = cKDTree(xy).query(xy, k=2)
+    return float(np.min(d[:, 1]))
+
+
+@st.composite
+def search_cases(draw):
+    """A point set, with queries that stress the bucket search.
+
+    The queries hold random points around the set, far-away points, the
+    points themselves and the corners and edges of the search's cells
+    (side ``0.7 * max(sqrt(wx*wy/n), max(wx, wy)/n)`` from the lower-left
+    corner of the bounding box).
+    """
+    kind = draw(st.sampled_from(
+        ["lattice", "uniform", "close_pair", "horizontal", "vertical", "single"]
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    n = draw(st.integers(2, 400))
+    if kind in ("lattice", "close_pair"):
+        k = int(math.sqrt(n)) // 2 + 1
+        m, j = np.meshgrid(np.arange(-k, k + 1), np.arange(-k, k + 1))
+        pts = scale * (m.ravel() + 1j * j.ravel())
+        if kind == "lattice":
+            shift = draw(st.sampled_from([0.0, 0.2, 0.45]))
+            pts = pts + scale * shift * np.sqrt(rng.uniform(0, 1, pts.size)) * np.exp(
+                2j * np.pi * rng.uniform(0, 1, pts.size))
+        else:
+            pts = np.append(pts, pts[0] + 1e-9 * scale)
+    elif kind == "uniform":
+        pts = scale * (rng.uniform(-5, 5, n) + 1j * rng.uniform(-5, 5, n))
+    elif kind == "horizontal":
+        pts = scale * rng.uniform(-5, 5, n) + 2j * scale
+    elif kind == "vertical":
+        pts = -3.0 * scale + 1j * scale * rng.uniform(-5, 5, n)
+    else:
+        pts = np.array([scale * (0.3 - 0.7j)])
+    pts = np.unique(pts)
+    gamma = PointSet(pts, float(np.max(np.abs(pts))) * (1 + 1e-9))
+
+    x0, y0 = pts.real.min(), pts.imag.min()
+    wx, wy = pts.real.max() - x0, pts.imag.max() - y0
+    h = 0.7 * max(math.sqrt(wx) * math.sqrt(wy / pts.size), max(wx, wy) / pts.size) or 1.0
+    edges = np.arange(-2, 12) * h
+    span = max(wx, wy, scale)
+    queries = np.concatenate([
+        (x0 + edges[:, None] + 1j * (y0 + edges[None, :])).ravel(),
+        x0 + edges + 1j * rng.uniform(y0 - span, y0 + 2 * span, edges.size),
+        rng.uniform(x0 - span, x0 + 2 * span, 200) + 1j * rng.uniform(y0 - span, y0 + 2 * span, 200),
+        pts[:20],
+        span * np.array([1e6, -1e6j, 1e6 + 1e6j, 1e200, -1e200 + 1e200j]),
+    ])
+    return gamma, queries
+
+
+class TestNearestPointOracle:
+    """The bucket search against a k-d tree, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(search_cases())
+    def test_matches_tree(self, case):
+        gamma, queries = case
+        pts = gamma.points
+        assert np.array_equal(pointsets.nearest_distance(gamma, queries), tree_nearest(pts, queries))
+        if len(gamma) >= 2:
+            assert pointsets.separation(gamma) == tree_separation(pts)
+
+    def test_query_shapes(self):
+        gamma = pointsets.perturb(pointsets.square_lattice(1.0, 6.0), 0.3, seed=4)
+        grid = np.linspace(-7, 7, 12)[:, None] + 1j * np.linspace(-5, 9, 5)[None, :]
+        for zs in (0.25 - 1.5j, grid, np.zeros(0, dtype=complex), [[]]):
+            got = pointsets.nearest_distance(gamma, zs)
+            want = tree_nearest(gamma.points, zs)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    def test_clustered_set_widens(self):
+        rng = np.random.default_rng(11)
+        cluster = 1e-6 * (rng.normal(size=500) + 1j * rng.normal(size=500))
+        pts = np.unique(np.concatenate([cluster, 50 * np.exp(2j * np.pi * np.arange(8) / 8)]))
+        gamma = PointSet(pts, 51.0)
+        zs = rng.uniform(-60, 60, 300) + 1j * rng.uniform(-60, 60, 300)
+        assert np.array_equal(pointsets.nearest_distance(gamma, zs), tree_nearest(pts, zs))
+        assert pointsets.separation(gamma) == tree_separation(pts)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.nan)])
+    def test_rejects_non_finite_queries(self, bad):
+        gamma = pointsets.square_lattice(1.0, 3.0)
+        with pytest.raises(errors.ValidationError):
+            pointsets.nearest_distance(gamma, [0.5, bad])
 
 
 class TestNearestDistance:

@@ -6,8 +6,9 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from fockspace import errors, space
 from fockspace.space import FockFunction, LogComplex
@@ -54,6 +55,38 @@ class TestLogComplex:
     def test_rejects_nan(self):
         with pytest.raises(errors.ValidationError):
             LogComplex(math.nan, 0.0)
+
+    @given(
+        st.floats(-100, 100), st.floats(-math.pi, math.pi),
+        st.floats(-100, 100), st.floats(-math.pi, math.pi),
+    )
+    def test_mul_div_match_complex(self, la, pa, lb, pb):
+        # the logs add, so exp() carries their size as relative error
+        a, b = cmath.rect(math.exp(la), pa), cmath.rect(math.exp(lb), pb)
+        A, B = LogComplex.from_complex(a), LogComplex.from_complex(b)
+        tol = 8 * np.finfo(float).eps * (1 + abs(la) + abs(lb))
+        assert abs((A * B).to_complex() - a * b) <= tol * abs(a * b)
+        assert abs((A / B).to_complex() - a / b) <= tol * abs(a / b)
+
+    @given(st.floats(-100, 100), st.floats(-math.pi, math.pi))
+    def test_exact_zero(self, la, pa):
+        a = LogComplex.from_complex(cmath.rect(math.exp(la), pa))
+        zero = LogComplex.from_complex(0j)
+        assert (a * zero).to_complex() == 0j == (zero * a).to_complex()
+        assert (zero / a).to_complex() == 0j
+        with pytest.raises(ZeroDivisionError):
+            a / zero
+
+
+class TestLogFactorials:
+    def test_matches_gammaln(self):
+        # covers the branch edges of the reference at n = 11/12 and 998/999
+        n = np.arange(20001)
+        assert np.array_equal(space._log_factorials(20000), gammaln(n + 1.0))
+
+    def test_large_n_branch(self):
+        for n in (10**8 - 2, 10**8 - 1, 10**8, 10**8 + 1, 3 * 10**9, 10**15):
+            assert space._log_factorial(n) == gammaln(n + 1.0)
 
 
 class TestKernel:
@@ -288,6 +321,20 @@ class TestTranslate:
             a = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
             n0, n1 = space.norm2(f), space.norm2(space.translate(f, a))
             assert abs(n1 - n0) <= 1e-10 * n0
+
+    @settings(max_examples=60)
+    @given(
+        st.floats(0.25, 4.0),
+        st.lists(st.complex_numbers(max_magnitude=3.0), min_size=1, max_size=6, unique=True),
+        st.lists(st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0), min_size=6, max_size=6),
+        st.complex_numbers(max_magnitude=4.0),
+    )
+    def test_isometry_property(self, alpha, nodes, weights, a):
+        zs = np.array(nodes)
+        assume(np.all(np.abs(zs[:, None] - zs[None, :])[np.triu_indices(zs.size, 1)] >= 0.05))
+        f = combo(alpha, zs, weights[: zs.size])
+        n0, n1 = space.norm2(f), space.norm2(space.translate(f, a))
+        assert abs(n1 - n0) <= 1e-12 * n0
 
     def test_round_trip_weighted_samples(self):
         rng = np.random.default_rng(9)
