@@ -30,19 +30,39 @@ M and beyond the window the zero set is completed by the lattice
 itself, which sigma already carries. Everything is evaluated in log
 form, and exact zeros stay exact.
 
-Evaluation at a point z splits the ratios by shell. Shells beyond
-``2|z|/s`` fold into one power series. The nearer ratios are multiplied
-out in blocks of 16 and take one log|.| and one arg per block, since a
-log costs several times a complex multiply. Each factor is formed as a
-quotient of order 1 before it enters a block: ``(p - z)/(lambda - z)``
-for a displaced point, whose constant ``log(lambda/p)`` is summed once
-per product, and ``(lambda - z)/lambda`` for a site carrying no zero,
-whose block log is subtracted. Products of the raw differences
-``p - z`` and ``lambda - z`` would reach many times the size of their
-quotient, and the difference of their logs would lose digits to
-cancellation. The factor that vanishes at a point (a root equal to z,
-or a ratio whose site is the lattice site nearest z) is found by
-lookup in sorted arrays, not by comparing every (point, ratio) pair.
+The log of a ratio is a polynomial part (the constant ``log(lambda/p)``
+and the exponents, linear and quadratic in z, summed over all ratios
+once per product) plus a log part, ``log((p - z)/(lambda - z))`` for a
+displaced point and ``-log((lambda - z)/lambda)`` for a site carrying
+no zero. Evaluation on many points buckets them into square tiles
+sized so that a full tile holds about 2^10 points. A tile with centre c
+and half-diagonal h splits the ratios by their site: near when
+``|lambda - c| < 2h + s/2``, far otherwise. With ``u = z - c``, the far
+log parts sum to one Taylor series per tile,
+
+    sum log((p-c)/(lambda-c)) - sum log((lambda_bare-c)/lambda_bare)
+        + sum_j u^j/j [sum (lambda-c)^-j - (p-c)^-j + sum (lambda_bare-c)^-j],
+
+which converges because ``|u| <= h`` while ``|lambda - c| >= 2h + s/2``
+and ``|p - c| > 2h`` (a point strays by less than s/2 from its site):
+every ratio ``|u/(lambda-c)|``, ``|u/(p-c)|`` is below 1/2, so the
+remainder of one log after order J is below ``2^-J/(J+1)``. J = 58 puts
+it below 2^-63.8, so even 2^7 far logs at the worst ratio leave less
+than 2^-56; farther ratios fall off like ``(h/|lambda - c|)^(J+1)``.
+A tile with fewer points than J, such as a single point, takes every
+ratio as near.
+
+Near log parts are multiplied out in blocks of 16 and take one log|.|
+and one arg per block, since a log costs several times a complex
+multiply. Each factor is a quotient of order 1: ``(p - z)/(lambda - z)``
+displaced, and ``(lambda - z)/lambda`` bare, whose block log is
+subtracted. Products of the raw differences ``p - z`` and ``lambda - z``
+would reach many times the size of their quotient, and the difference
+of their logs would lose digits to cancellation. The factor that
+vanishes at a point (a root equal to z, or a ratio whose site is the
+lattice site nearest z) is found by lookup in sorted arrays, not by
+comparing every (point, ratio) pair. Both lie within ``h + s/2`` of the
+centre, so they are always near.
 """
 
 from __future__ import annotations
@@ -79,9 +99,11 @@ __all__ = [
 _THETA_ORDERS = 2.0 * np.arange(4) + 1.0
 _THETA_COEFFS = np.array([(-1.0) ** n * math.exp(-math.pi * n * (n + 1)) for n in range(4)])
 _THETA_SLOPE = float(np.sum(_THETA_COEFFS * _THETA_ORDERS))
-# Power-series order for ratios in shells beyond 2|z|/spacing, where
-# |z/point| <= 1/2; the neglected remainder is below 2^-60 per ratio.
-_SERIES_ORDER = 60
+# Order of a tile's far series (see the module docstring), and the
+# fewest points a tile needs before it takes a far series at all.
+_SERIES_ORDER = 58
+# points in a full tile
+_TILE_POINTS = 1 << 10
 # Near-field factors multiplied together before one log is taken. Off
 # the lattice site nearest z a displaced quotient (p - z)/(lambda - z)
 # is below 2 in modulus, as |p - lambda| < s/2 <= |lambda - z|, and a
@@ -103,13 +125,21 @@ def _check_M(M) -> None:
         raise ValidationError("M must be a positive integer")
 
 
+def _required_M(top: float) -> int:
+    """The truncation index advised for points up to ``top`` spacings out."""
+    return math.ceil(2 * top + 20)
+
+
 def _check_truncation(rho: np.ndarray, M: int) -> None:
     """Raise if ``rho = |z|/spacing`` reaches the truncation index plus one."""
     top = float(np.max(rho)) if np.size(rho) else 0.0
     if top >= M + 1:
+        required = _required_M(top)
         raise TruncationTooSmall(
             f"evaluation radius {top:.3g} spacings exceeds the truncation "
-            f"index {M}; increase M to at least {math.ceil(2 * top + 20)}"
+            f"index {M}; increase M to at least {required}",
+            required_M=required,
+            radius_spacings=top,
         )
 
 
@@ -214,11 +244,13 @@ class _SortedKeys:
         order = np.argsort(values, kind="stable")
         return cls(values[order], order)
 
-    def find(self, values: np.ndarray, stop: int):
-        """``(rows, cols)`` where ``values[row]`` is the key of a column below ``stop``."""
+    def find(self, values: np.ndarray, subset: np.ndarray):
+        """``(rows, cols)`` where ``values[row]`` is the key of column ``subset[col]``."""
+        local = np.full(self.keys.size, -1)
+        local[subset] = np.arange(subset.size)
         pos = np.minimum(np.searchsorted(self.keys, values), self.keys.size - 1)
-        cols = self.cols[pos]
-        rows = np.flatnonzero((self.keys[pos] == values) & (cols < stop))
+        cols = local[self.cols[pos]]
+        rows = np.flatnonzero((self.keys[pos] == values) & (cols >= 0))
         return rows, cols[rows]
 
 
@@ -230,12 +262,11 @@ class CanonicalProduct:
     ``(z - z00)/z`` times one ratio per index of shell at most
     ``truncation_index`` where the set differs from the lattice: a
     displaced point (``_roots``, at ``_sites``) or a lattice site that
-    carries no zero (``_bare``). Both are shell-sorted; the first
-    ``_moved_starts[k]`` and ``_bare_starts[k]`` of them lie in shells
-    below k. ``_near_poly[k]`` holds the constant, linear and quadratic
-    coefficients summed over the ratios in shells below k, and
-    ``_far_sums[k]`` the power-series coefficients of the ratios from
-    shell k on.
+    carries no zero (``_bare``). The ``_*_keys`` find a ratio by its
+    root or site. ``_poly`` holds the constant, linear and quadratic
+    coefficients of the polynomial parts summed over every ratio; the
+    log parts are taken per tile of query points (see the module
+    docstring).
     """
 
     gamma: PointSet
@@ -249,13 +280,10 @@ class CanonicalProduct:
     _roots: np.ndarray
     _sites: np.ndarray
     _bare: np.ndarray
-    _moved_starts: np.ndarray
-    _bare_starts: np.ndarray
     _root_keys: _SortedKeys
     _site_keys: _SortedKeys
     _bare_keys: _SortedKeys
-    _near_poly: np.ndarray
-    _far_sums: np.ndarray
+    _poly: tuple
 
     def node_at(self, m: int, n: int) -> complex:
         """The point (or completing lattice site) at index (m, n)."""
@@ -324,35 +352,18 @@ def canonical_product(gamma: PointSet, lattice: SquareLattice, truncation_index:
         bare[n0 + M, m0 + M] = True
     bare[M, M] = False  # the origin's zero is divided out by (z - z00)/z
 
-    ring = np.maximum(np.abs(mm), np.abs(nn))[bare]
-    by_shell = np.argsort(shells[moved], kind="stable")
-    roots = gamma.points[moved][by_shell]
-    moved_sites = sites[moved][by_shell]
-    moved_shells = shells[moved][by_shell]
-    by_shell = np.argsort(ring, kind="stable")
-    bare_sites = lambdas[bare][by_shell]
-    bare_shells = ring[by_shell]
+    roots = gamma.points[moved]
+    moved_sites = sites[moved]
+    bare_sites = lambdas[bare]
 
-    # Per ratio, binned by shell: the constant, z and z^2 coefficients of
-    # its log beside the near-field quotient (log(lambda/p) + z (1/p -
-    # 1/lambda) displaced, -z/lambda - z^2/(2 lambda^2) bare), and the
-    # power series -sum_{j>=2} z^j/j (root^-j - site^-j) of the whole
-    # ratio, with root^-j read as 0 at a bare site, whose j = 2 term the
-    # quadratic exponent cancels. Prefix sums give the near ratios below
-    # a shell cut, suffix sums the far ones.
-    inv_moved = 1.0 / moved_sites
+    # the polynomial parts: log(lambda/p) + z (1/p - 1/lambda) displaced,
+    # -z/lambda - z^2/(2 lambda^2) bare
     inv_bare = 1.0 / bare_sites
-    poly = np.zeros((M + 1, 3), dtype=np.complex128)
-    np.add.at(poly[:, 0], moved_shells, np.log(moved_sites / roots))
-    np.add.at(poly[:, 1], moved_shells, 1.0 / roots - inv_moved)
-    np.add.at(poly[:, 1], bare_shells, -inv_bare)
-    np.add.at(poly[:, 2], bare_shells, -0.5 * inv_bare**2)
-    js = np.arange(2, _SERIES_ORDER + 1)
-    series = np.zeros((M + 1, js.size), dtype=np.complex128)
-    np.add.at(series, moved_shells, -((1.0 / roots)[:, None] ** js - inv_moved[:, None] ** js) / js)
-    np.add.at(series[:, 1:], bare_shells, inv_bare[:, None] ** js[1:] / js[1:])
-
-    cuts = np.arange(M + 2)
+    poly = (
+        np.sum(np.log(moved_sites / roots)),
+        np.sum(1.0 / roots - 1.0 / moved_sites) - np.sum(inv_bare),
+        -0.5 * np.sum(inv_bare**2),
+    )
     return CanonicalProduct(
         gamma=gamma,
         lattice=lattice,
@@ -365,13 +376,10 @@ def canonical_product(gamma: PointSet, lattice: SquareLattice, truncation_index:
         _roots=roots,
         _sites=moved_sites,
         _bare=bare_sites,
-        _moved_starts=np.searchsorted(moved_shells, cuts),
-        _bare_starts=np.searchsorted(bare_shells, cuts),
         _root_keys=_SortedKeys.of(roots),
         _site_keys=_SortedKeys.of(moved_sites),
         _bare_keys=_SortedKeys.of(bare_sites),
-        _near_poly=np.concatenate([np.zeros((1, 3)), np.cumsum(poly, axis=0)]),
-        _far_sums=np.concatenate([np.cumsum(series[::-1], axis=0)[::-1], np.zeros((1, js.size))]),
+        _poly=poly,
     )
 
 
@@ -401,8 +409,10 @@ def _blocks(rows: int, n: int) -> np.ndarray:
     return out
 
 
-def _near_log(cp: CanonicalProduct, zs: np.ndarray, k: int):
-    """Log of sigma * (z - z00)/z * the ratios in shells below ``k``, and zero flags.
+def _near_log(cp: CanonicalProduct, zs: np.ndarray, moved: np.ndarray, bare: np.ndarray):
+    """Log of sigma * (z - z00)/z * the polynomial parts of every ratio
+    * the log parts of the ratios ``moved`` and ``bare`` (index arrays
+    into ``_roots`` and ``_bare``), and zero flags.
 
     Where a linear factor vanishes its derivative stands in for it, so
     at a zero of g the value is log g'(z). Where a ratio's site (or the
@@ -418,69 +428,118 @@ def _near_log(cp: CanonicalProduct, zs: np.ndarray, k: int):
         divided |= site == 0
         zero |= lead == 0
         total = total + np.log(np.where(lead == 0, 1.0, lead)) - np.log(np.where(divided, 1.0, zs))
-    n = int(cp._moved_starts[k])
+    n = moved.size
     if n:
         # (p - z)/(lambda - z), padded with ones to whole blocks
         quot = _blocks(zs.size, n)
         num = quot[:, :n]
-        np.subtract(cp._roots[:n], zs[:, None], out=num)
-        den = cp._sites[:n] - zs[:, None]
-        rows, cols = cp._root_keys.find(zs, n)
+        np.subtract(cp._roots[moved], zs[:, None], out=num)
+        den = cp._sites[moved] - zs[:, None]
+        rows, cols = cp._root_keys.find(zs, moved)
         num[rows, cols] = -1.0
         zero[rows] = True
-        rows, cols = cp._site_keys.find(site, n)
+        rows, cols = cp._site_keys.find(site, moved)
         den[rows, cols] = -1.0
         divided[rows] = True
         np.divide(num, den, out=num)
         total = total + _block_log(quot)
-    n = int(cp._bare_starts[k])
+    n = bare.size
     if n:
         # (lambda - z) * (1/lambda): subtracting first keeps the relative
         # accuracy that 1 - z/lambda loses next to the site
         fac = _blocks(zs.size, n)
         diff = fac[:, :n]
-        np.subtract(cp._bare[:n], zs[:, None], out=diff)
-        rows, cols = cp._bare_keys.find(site, n)
+        np.subtract(cp._bare[bare], zs[:, None], out=diff)
+        rows, cols = cp._bare_keys.find(site, bare)
         diff[rows, cols] = -1.0
         divided[rows] = True
-        diff *= 1.0 / cp._bare[:n]
+        diff *= 1.0 / cp._bare[bare]
         total = total - _block_log(fac)
-    c0, c1, c2 = cp._near_poly[k]
+    c0, c1, c2 = cp._poly
     total = total + (c0 + zs * (c1 + zs * c2))
     zero |= (w == 0) & ~divided
     return total + np.log(np.where(divided | (w == 0), 1.0, w)), zero
 
 
+def _tiles(zs: np.ndarray):
+    """Bucket ``zs`` into square tiles; yield each tile's point indices,
+    and the centre and half-diagonal of its points' bounding box.
+
+    The side is the one at which a full tile holds ``_TILE_POINTS`` of
+    the points spread over their bounding box, or along it when the box
+    is flat.
+    """
+    if not zs.size:
+        return
+    x, y = zs.real, zs.imag
+    x0, y0 = np.min(x), np.min(y)
+    width, height = np.max(x) - x0, np.max(y) - y0
+    n = zs.size
+    side = max(math.sqrt(_TILE_POINTS * width * height / n), _TILE_POINTS * max(width, height) / n)
+    side = side or 1.0  # coincident points: any side makes one tile
+    kx = np.floor((x - x0) / side)
+    ky = np.floor((y - y0) / side)
+    key = kx * (np.max(ky) + 1.0) + ky
+    order = np.argsort(key, kind="stable")
+    for idx in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
+        part = zs[idx]
+        lo = complex(np.min(part.real), np.min(part.imag))
+        hi = complex(np.max(part.real), np.max(part.imag))
+        yield idx, (lo + hi) / 2.0, abs(hi - lo) / 2.0
+
+
+def _far_series(cp: CanonicalProduct, centre: complex, moved: np.ndarray, bare: np.ndarray) -> np.ndarray:
+    """Coefficients in ``z - centre``, highest power first, of the
+    Taylor series of the log parts of the ratios ``moved`` and ``bare``.
+
+    With ``x = 1/(lambda - c)`` and ``y = 1/(p - c)`` the j-th
+    coefficient is ``sum (x^j - y^j) / j``; a site carrying no zero is
+    a displaced point gone to infinity, ``y = 0``.
+    """
+    n = moved.size
+    x = 1.0 / (np.concatenate([cp._sites[moved], cp._bare[bare]]) - centre)
+    y = np.zeros_like(x)
+    y[:n] = 1.0 / (cp._roots[moved] - centre)
+    const = np.sum(np.log(x[:n] / y[:n])) + np.sum(np.log(cp._bare[bare] * x[n:]))
+    sums = np.empty(_SERIES_ORDER, dtype=np.complex128)
+    px, py = x, y
+    for j in range(_SERIES_ORDER):
+        # differences per ratio before the sum over ratios: the sums of
+        # x^j and of y^j alone are far larger than theirs
+        sums[j] = (px - py).sum()
+        px, py = px * x, py * y
+    return np.append(sums[::-1] / np.arange(_SERIES_ORDER, 0, -1), const)
+
+
 def _gfun_log_many(cp: CanonicalProduct, zs: np.ndarray) -> np.ndarray:
     """Complex log of g at many points (phase not yet reduced).
 
-    Ratios in shells below ``2|z|/s`` are multiplied out in blocks; the
-    remaining shells enter through the precomputed power-sum series
-    (each such ratio has ``|z/root| <= 1/2``), so the cost per point
-    grows with ``(|z|/s)^2`` only where the set is displaced.
+    Per tile of points, the near ratios are multiplied out in blocks and
+    the far ones enter through one Taylor series about the tile's
+    centre, so a point costs about the number of ratios near its tile.
     """
     zs = np.asarray(zs, dtype=np.complex128).ravel()
     s = cp.lattice.spacing
-    M = cp.truncation_index
-    az = np.abs(zs)
-    _check_truncation(az / s, M)
+    _check_truncation(np.abs(zs) / s, cp.truncation_index)
     out = np.empty(zs.shape, dtype=np.complex128)
-    cuts = np.minimum(
-        M + 1, np.ceil(2.0 * az / s + 0.5).astype(np.int64).clip(min=1)
-    )
-    for k0 in np.flatnonzero(np.bincount(cuts)):
-        sel = np.flatnonzero(cuts == k0)
-        width = _padded(int(cp._moved_starts[k0])) + _padded(int(cp._bare_starts[k0]))
-        coeffs = cp._far_sums[k0]
-        far = coeffs.any()  # a zero row: no ratio at or beyond this shell cut
-        chunk = max(1, _CHUNK_CELLS // max(width, 1))
-        for start in range(0, sel.size, chunk):
-            idx = sel[start : start + chunk]
-            part = zs[idx]
-            near, zero = _near_log(cp, part, k0)
-            if far:
-                near = near + np.polyval(coeffs[::-1], part) * (part * part)
-            out[idx] = np.where(zero, -np.inf, near)
+    every_moved, every_bare = np.arange(cp._roots.size), np.arange(cp._bare.size)
+    for idx, centre, half in _tiles(zs):
+        moved, bare, series = every_moved, every_bare, None
+        if idx.size >= _SERIES_ORDER:
+            reach = 2.0 * half + s / 2.0
+            near_moved = np.abs(cp._sites - centre) < reach
+            near_bare = np.abs(cp._bare - centre) < reach
+            moved, bare = np.flatnonzero(near_moved), np.flatnonzero(near_bare)
+            if not (near_moved.all() and near_bare.all()):
+                series = _far_series(cp, centre, np.flatnonzero(~near_moved), np.flatnonzero(~near_bare))
+        chunk = max(1, _CHUNK_CELLS // max(_padded(moved.size) + _padded(bare.size), 1))
+        for start in range(0, idx.size, chunk):
+            sub = idx[start : start + chunk]
+            part = zs[sub]
+            near, zero = _near_log(cp, part, moved, bare)
+            if series is not None:
+                near = near + np.polyval(series, part - centre)
+            out[sub] = np.where(zero, -np.inf, near)
     return out
 
 
@@ -524,13 +583,16 @@ def _node_derivative_logs(cp: CanonicalProduct, indices) -> np.ndarray:
         if (m, n) not in cp._index_of:
             raise PointNotInSet(f"index ({m}, {n}) is not in the point set")
         if max(abs(m), abs(n)) > M:
+            top = abs(cp.node_at(m, n)) / cp.lattice.spacing
             raise TruncationTooSmall(
-                f"node index ({m}, {n}) lies outside the truncation square M={M}"
+                f"node index ({m}, {n}) lies outside the truncation square M={M}",
+                required_M=_required_M(top),
+                radius_spacings=top,
             )
         pos.append(cp._index_of[(m, n)])
     zq = cp.gamma.points[pos]
     _check_truncation(np.abs(zq) / cp.lattice.spacing, M)
-    total = _near_log(cp, zq, M + 1)[0]
+    total = _near_log(cp, zq, np.arange(cp._roots.size), np.arange(cp._bare.size))[0]
     return total.real + 1j * reduce_phase(total.imag)
 
 

@@ -4,7 +4,8 @@ Each subcommand wires one library pipeline to files. Reports carry the
 resolved config, the library version, and the results; the only field
 that varies between identical runs is ``wall_time_s``. Validation
 problems exit 2, numerical diagnostics exit 3, both with a single-line
-JSON error on stderr, and no output files are written on failure.
+JSON error on stderr (the error type, its message and any structured
+fields it carries), and no output files are written on failure.
 """
 
 from __future__ import annotations
@@ -427,6 +428,11 @@ def _config_echo(args) -> dict:
     return doc
 
 
+def _error_json(exc) -> str:
+    """The error line: the type, the message, then any structured fields."""
+    return json.dumps({"error": type(exc).__name__, "message": str(exc), **exc.fields}) + "\n"
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -435,14 +441,10 @@ def main(argv=None) -> int:
         _validate_config(args)
         results, files = _HANDLERS[args.command](args)
     except ValidationError as exc:
-        sys.stderr.write(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"
-        )
+        sys.stderr.write(_error_json(exc))
         return 2
     except NumericalDiagnosticError as exc:
-        sys.stderr.write(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"
-        )
+        sys.stderr.write(_error_json(exc))
         return 3
     report = {
         "command": args.command,

@@ -8,7 +8,17 @@ contract. The command line maps the two families to distinct exit codes.
 
 
 class FockspaceError(Exception):
-    """Base class for every package-specific error."""
+    """Base class for every package-specific error.
+
+    Keyword arguments are structured diagnostic fields: each becomes an
+    attribute, and ``fields`` holds them all for the command line's
+    error report.
+    """
+
+    def __init__(self, *args, **fields):
+        super().__init__(*args)
+        self.fields = fields
+        self.__dict__.update(fields)
 
 
 class ValidationError(FockspaceError):
@@ -60,7 +70,9 @@ class TruncationTooSmall(NumericalDiagnosticError):
 
     The product takes the set's points only up to shell M and completes
     the zero set with the lattice beyond it, so it is evaluated only for
-    ``|z| < (M + 1) * spacing``.
+    ``|z| < (M + 1) * spacing``. ``required_M`` is a truncation index
+    that covers the request and ``radius_spacings`` the radius it
+    reached, in spacings.
     """
 
 
@@ -69,7 +81,10 @@ class NodeIndexMissing(ValidationError):
 
 
 class QuadratureOrderTooLow(NumericalDiagnosticError):
-    """Doubling the quadrature order moved a cell integral too much."""
+    """Doubling the quadrature order moved a cell integral too much.
+
+    ``order`` is the order whose integral moved.
+    """
 
 
 class PointNotInSet(ValidationError):

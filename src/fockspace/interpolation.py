@@ -197,6 +197,9 @@ def lagrange_reconstruct(gamma: PointSet, alpha: float, samples: dict, z, trunca
         (including the critical case beta = alpha).
     MissingSamples
         If some point within the truncation radius has no sample.
+    ValidationError
+        If no point of the set lies within the truncation radius, so
+        the series would have no term.
     """
     alpha = _check_alpha(alpha)
     truncation_radius = float(truncation_radius)
@@ -213,6 +216,10 @@ def lagrange_reconstruct(gamma: PointSet, alpha: float, samples: dict, z, trunca
             "query points must stay strictly inside half the truncation radius"
         )
     nodes, node_indices, values = _gather(gamma, samples, truncation_radius, "sample")
+    if not nodes.size:
+        raise ValidationError(
+            f"no point of the set lies within the truncation radius {truncation_radius:g}"
+        )
 
     M = int(math.ceil(2.0 * truncation_radius / spacing)) + 20
     basis = _LagrangeBasis.of(gamma, spacing, M, nodes, node_indices, 0.0)

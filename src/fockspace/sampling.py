@@ -193,13 +193,15 @@ def norm_decomposition_check(f: FockFunction, alpha: float, K: int) -> float:
                 )
         return out
 
-    coarse = cell_integrals(24)
-    fine = cell_integrals(48)
+    order = 24
+    coarse = cell_integrals(order)
+    fine = cell_integrals(2 * order)
     for key, val in fine.items():
         if abs(coarse[key] - val) > 1e-10 * max(abs(val), 1e-300):
             raise QuadratureOrderTooLow(
                 f"cell {key} moved by {abs(coarse[key] - val):.3g} "
-                "when doubling the quadrature order"
+                "when doubling the quadrature order",
+                order=order,
             )
     total = math.fsum(coarse.values())
     exact = norm2(f) ** 2

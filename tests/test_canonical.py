@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fockspace import canonical
 from fockspace.canonical import (
     _gfun_log_many,
     _node_derivative_logs,
     _sigma_parts,
+    _tiles,
     canonical_product,
     gfun_derivative_at_node,
     gfun_log,
@@ -295,6 +297,49 @@ class TestBlockedKernelOracle:
         assert_logs_agree(_node_derivative_logs(cp, gam.indices), want)
 
 
+class TestTileExpansionOracle:
+    """The tiles' far series against the per-ratio reference, on query
+    sets dense enough that most tiles expand their far ratios."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["perturbed", "removed", "translated"]),
+        s=st.sampled_from([1e-3, 1.0, 1e3]),
+        seed=st.integers(0, 2**31 - 1),
+        step=st.sampled_from([0.1, 0.005]),
+        data=st.data(),
+    )
+    def test_matches_per_ratio_reference(self, kind, s, seed, step, data):
+        # a translate moves every point by the anchor's displacement too
+        shift = data.draw(st.floats(0.0, 0.24 if kind == "translated" else 0.45))
+        gam = _oracle_set(kind, s, shift, seed)
+        cp = canonical_product(gam, SquareLattice(s), 16)
+        sites = np.concatenate([cp._sites, cp._bare])
+        specials = np.concatenate([cp._roots, sites, [0.0]]).astype(complex)
+        # an 80 x 80 grid of the drawn step, about six tiles, around a
+        # root, a ratio site or the origin, with the corners and edge
+        # midpoints of its tiles' boxes; at step 0.005 a tile is narrower
+        # than the distance from a root to its site
+        anchor = specials[data.draw(st.integers(0, specials.size - 1))]
+        axis = s * step * (np.arange(80) - 39.5)
+        grid = (anchor + axis[None, :] + 1j * axis[:, None]).ravel()
+        boxes, circles = [], []
+        turns = np.exp(2j * math.pi * (np.arange(8) + data.draw(st.floats(0.0, 1.0))) / 8)
+        for idx, centre, half in _tiles(grid):
+            part = grid[idx]
+            xs = [part.real.min(), centre.real, part.real.max()]
+            ys = [part.imag.min(), centre.imag, part.imag.max()]
+            boxes.append([complex(x, y) for x in xs for y in ys])
+            circles.append(centre + (2.0 * half + s / 2.0) * turns)
+        # the grid with its boxes, then the scattered points (roots,
+        # sites, the origin and the tiles' near/far circles), which tile
+        # on their own scale
+        for zs in (np.concatenate([grid, [anchor], *boxes]), np.concatenate([specials, *circles])):
+            zs = zs[np.abs(zs) < 16.5 * s]
+            assert any(idx.size >= canonical._SERIES_ORDER for idx, _, _ in _tiles(zs))
+            assert_logs_agree(_gfun_log_many(cp, zs), reference_log_g(cp, zs))
+
+
 class TestSigma:
     def test_exact_zero_on_lattice(self):
         lat = SquareLattice(1.0)
@@ -506,8 +551,11 @@ class TestGfun:
 
     def test_truncation_diagnostic_at_large_radius(self):
         cp = canonical_product(square_lattice(1.0, 8.0), SquareLattice(1.0), 25)
-        with pytest.raises(TruncationTooSmall):
+        with pytest.raises(TruncationTooSmall) as info:
             gfun_log(cp, 40.0 + 0j)
+        assert info.value.radius_spacings == 40.0
+        assert info.value.required_M == 100
+        assert "at least 100" in str(info.value)
 
 
 class TestNodeDerivative:
@@ -599,6 +647,18 @@ class TestGrowthCheck:
         fit = growth_check(cp, math.pi, 4.5, 0.25)
         assert fit.violations == 0
         assert np.isfinite(fit.c) and fit.c >= 0
+
+    def test_tiled_fit_matches_the_reference_fit(self, monkeypatch):
+        # 3 845 grid points in four tiles of about 10^3, so every point
+        # takes its far ratios from a tile's series
+        gam = perturb(square_lattice(1.0, 12.0), 0.2, seed=6)
+        cp = canonical_product(gam, SquareLattice(1.0), 34)
+        fit = growth_check(cp, math.pi, 7.0, 0.2)
+        monkeypatch.setattr(canonical, "_gfun_log_many", reference_log_g)
+        want = growth_check(cp, math.pi, 7.0, 0.2)
+        assert fit.violations == want.violations == 0
+        for got, ref in ((fit.c, want.c), (fit.C1, want.C1), (fit.C2, want.C2)):
+            assert abs(got - ref) <= 1e-12 * abs(ref)
 
     def test_reported_constants_hold_at_grid_points(self):
         gam = perturb(square_lattice(1.0, 8.0), 0.2, seed=3)

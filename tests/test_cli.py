@@ -54,11 +54,12 @@ def read_report(out_dir, command):
     return json.loads((out_dir / name).read_text(encoding="utf-8"))
 
 
-def error_doc(capsys):
+def error_doc(capsys, *fields):
+    """The one-line error JSON: error and message first, then exactly ``fields``."""
     err = capsys.readouterr().err.strip()
     assert "\n" not in err
     doc = json.loads(err)
-    assert set(doc) == {"error", "message"}
+    assert list(doc) == ["error", "message", *fields]
     return doc
 
 
@@ -573,7 +574,18 @@ class TestInterpolate:
         )
         assert rc == 3
         assert not out.exists()
-        assert error_doc(capsys)["error"] == "TruncationTooSmall"
+        doc = error_doc(capsys, "required_M", "radius_spacings")
+        assert doc["error"] == "TruncationTooSmall"
+        # the grid point 100 lies 100/s spacings out, past the truncation
+        # index ceil(4 * 8 / s) + 20 the interpolant chose
+        radius = 100.0 / SUB_SPACING
+        assert doc["radius_spacings"] == radius
+        assert doc["required_M"] == math.ceil(2 * radius + 20)
+        assert doc["message"] == (
+            f"evaluation radius {radius:.3g} spacings exceeds the truncation "
+            f"index {math.ceil(32 / SUB_SPACING) + 20}; increase M to at least "
+            f"{math.ceil(2 * radius + 20)}"
+        )
 
 
 class TestSigmaGrid:

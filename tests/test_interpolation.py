@@ -173,6 +173,14 @@ class TestLagrangeReconstruct:
         with pytest.raises(MissingSamples):
             lagrange_reconstruct(gamma, ALPHA, samples, 0.1j, 8.0)
 
+    def test_no_point_within_radius(self):
+        # the perturbed origin point lies 0.12 out, so no sample falls
+        # within the radius and the series has no term
+        gamma = perturb(square_lattice(1.0, 8.0), 0.2, seed=1)
+        assert np.min(np.abs(gamma.points)) > 0.1
+        with pytest.raises(ValidationError, match="truncation radius 0.1$"):
+            lagrange_reconstruct(gamma, ALPHA, {}, 0.01, 0.1)
+
     def test_query_outside_interior(self):
         gamma = super_lattice()
         samples = samples_for(gamma, lambda p: 1.0, 8.0)

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from fockspace import sampling
 from fockspace.errors import (
     AlphaMismatch,
     PointNotInSet,
+    QuadratureOrderTooLow,
     UnsupportedRepresentation,
     ValidationError,
     WindowTooSmall,
@@ -226,6 +228,22 @@ class TestNormDecomposition:
         f = FockFunction.kernel_combo(1.0, [3.0 + 0j], [1.0])
         with pytest.raises(ValidationError):
             norm_decomposition_check(f, 1.0, 2)
+
+    def test_unstable_quadrature_names_its_order(self, monkeypatch):
+        # a rule whose weights are off by 1e-6 at order 24 moves every
+        # cell integral when the order is doubled
+        rule = sampling.leggauss
+
+        def skewed(order):
+            xs, ws = rule(order)
+            return xs, ws * (1.0 + 1e-6 * (order == 24))
+
+        monkeypatch.setattr(sampling, "leggauss", skewed)
+        f = FockFunction.kernel_combo(1.0, [0.0], [1.0])
+        with pytest.raises(QuadratureOrderTooLow) as info:
+            norm_decomposition_check(f, 1.0, 1)
+        assert info.value.order == 24
+        assert info.value.fields == {"order": 24}
 
 
 class TestPointRemoval:
