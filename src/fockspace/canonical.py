@@ -519,6 +519,8 @@ def _gfun_log_many(cp: CanonicalProduct, zs: np.ndarray) -> np.ndarray:
     centre, so a point costs about the number of ratios near its tile.
     """
     zs = np.asarray(zs, dtype=np.complex128).ravel()
+    if not np.all(np.isfinite(zs)):
+        raise ValidationError("query points must be finite")
     s = cp.lattice.spacing
     _check_truncation(np.abs(zs) / s, cp.truncation_index)
     out = np.empty(zs.shape, dtype=np.complex128)

@@ -81,9 +81,9 @@ class NodeIndexMissing(ValidationError):
 
 
 class QuadratureOrderTooLow(NumericalDiagnosticError):
-    """Doubling the quadrature order moved a cell integral too much.
+    """A quadrature rule is too coarse for its integrand.
 
-    ``order`` is the order whose integral moved.
+    ``order`` is the order found too low.
     """
 
 

@@ -35,6 +35,10 @@ the interior (half the truncation radius) only, so truncation effects
 near the rim are not blamed on the formulas. The critical density
 beta = alpha is rejected with a relative guard band of 1e-9: the
 boundary lattice is neither a set of sampling nor one of interpolation.
+
+The norm-growth report projects the interpolant onto span{e_0..e_N}
+by Cauchy's formula on one circle per degree, guarded by the aliased
+top of each circle's spectrum.
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.fft import fft
-from numpy.polynomial.legendre import leggauss
 
 from .canonical import (
     CanonicalProduct,
@@ -56,6 +59,7 @@ from .errors import (
     DensityOrderViolated,
     MissingSamples,
     NodeIndexMissing,
+    QuadratureOrderTooLow,
     ValidationError,
 )
 from .pointsets import PointSet, SquareLattice
@@ -388,38 +392,48 @@ class NormGrowthReport:
         return self.interpolant_norm / self.data_norm
 
 
+def _angle_count(alpha: float, max_node: float, radius: float, N: int) -> int:
+    """Angles per circle: the kernel factors' bandwidth plus 4 (N + 1), to a power of two."""
+    bandwidth = int(math.ceil(2.0 * alpha * max_node * radius)) + 4 * (N + 1)
+    return 1 << max(6, (bandwidth - 1).bit_length())
+
+
 def norm_growth_report(ev: InterpolantEvaluator, N: int) -> NormGrowthReport:
     """Compare the interpolant's norm with the data's l2 norm.
 
-    The interpolant is projected onto span{e_0..e_N} by polar
-    quadrature over the disk of radius sqrt(N/alpha) + 4/sqrt(alpha)
-    (Gauss-Legendre radially, uniform angles resolved by FFT), and the
-    reported norm is the l2 norm of the projection coefficients.
+    The interpolant F projects onto span{e_0..e_N} with coefficients
+    ``c_n = a_n sqrt(n! / alpha^n)``, a_n its n-th Taylor coefficient
+    at 0; the reported norm is their l2 norm. Cauchy's formula gives a_n
+    on the circle ``|z| = rho_n = sqrt(max(n, 1) / alpha)``, where
+    ``|e_n(r)| exp(-alpha r^2 / 2)`` peaks, so rounding in the weighted
+    values is not amplified, by the trapezoid rule in the angle (one FFT
+    per circle), which converges geometrically as F is entire. Its
+    (N + 1) n_theta points, n_theta set by the bandwidth on rho_N, pass
+    the 32 circles of a radial rule over the disk only for N > 31, a
+    degree no workload and no CLI default asks for.
+
+    Raises
+    ------
+    QuadratureOrderTooLow
+        If a circle's top N + 1 bins, which hold only aliased tail,
+        exceed 1e-12 of its largest harmonic; ``order`` is n_theta.
+    ValidationError
+        If N is negative.
     """
     N = int(N)
     if N < 0:
         raise ValidationError("degree must be nonnegative")
     alpha = ev.problem.alpha
-    radius = math.sqrt(N / alpha) + 4.0 / math.sqrt(alpha)
-    n_r = 32
+    rho = np.sqrt(np.maximum(np.arange(N + 1), 1) / alpha)
     max_node = max((abs(complex(p)) for p in ev._basis.nodes), default=0.0)
-    # resolve every angular harmonic the kernel factors can carry on
-    # the disk, plus the projection degrees themselves
-    bandwidth = int(math.ceil(2.0 * alpha * max_node * radius)) + 4 * (N + 1)
-    n_theta = 1 << max(6, (bandwidth - 1).bit_length())
-
-    xs, ws = leggauss(n_r)
-    rs = (xs + 1.0) * (radius / 2.0)
-    wr = ws * (radius / 2.0)
-    thetas = 2.0 * math.pi * np.arange(n_theta) / n_theta
-    grid = (rs[:, None] * np.exp(1j * thetas)[None, :]).ravel()
-    weighted = np.exp(ev._series(grid) - 0.5 * alpha * _sq(grid)).reshape(n_r, n_theta)
-    harmonics = fft(weighted, axis=1) * (2.0 * math.pi / n_theta)
-    radial_weight = (alpha / math.pi) * wr * rs
-    radial_basis = np.exp(_monomial_logs(alpha, N, rs))
-    coeffs = np.sum(radial_weight[:, None] * radial_basis * harmonics[:, : N + 1], axis=0)
-    interpolant_norm = float(np.linalg.norm(coeffs))
-    data_norm = float(np.linalg.norm(ev._targets))
-    return NormGrowthReport(
-        data_norm=data_norm, interpolant_norm=interpolant_norm, degree=N
-    )
+    n_theta = _angle_count(alpha, max_node, float(rho[-1]), N)
+    grid = (rho[:, None] * np.exp(2j * math.pi * np.arange(n_theta) / n_theta)).ravel()
+    weighted = np.exp(ev._series(grid) - 0.5 * alpha * _sq(grid)).reshape(N + 1, n_theta)
+    harmonics = np.abs(fft(weighted, axis=1)) / n_theta
+    tail = np.max(harmonics[:, n_theta - N - 1 :], axis=1)
+    if np.any(tail > 1e-12 * np.max(harmonics, axis=1)):
+        raise QuadratureOrderTooLow(
+            f"aliased harmonics reach {np.max(tail):.3g} on {n_theta} angles per circle", order=n_theta
+        )
+    coeffs = np.diagonal(harmonics) / np.exp(np.diagonal(_monomial_logs(alpha, N, rho).real))
+    return NormGrowthReport(float(np.linalg.norm(ev._targets)), float(np.linalg.norm(coeffs)), N)

@@ -160,18 +160,19 @@ def point_set_from_doc(doc: dict) -> PointSet:
     return PointSet(points, window, indices=indices)
 
 
+def _csv(header: str, rows) -> str:
+    """CSV text of a header line and rows of numbers, ints as such and
+    the rest through ``_fmt``; no cell holds a comma or a quote."""
+    lines = [header] + [",".join([str(c) if isinstance(c, int) else _fmt(c) for c in row]) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def point_set_csv(gamma: PointSet) -> str:
-    out = _stdio.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
+    xs, ys = gamma.points.real.tolist(), gamma.points.imag.tolist()
     if gamma.indices is None:
-        writer.writerow(["x", "y"])
-        for z in gamma.points:
-            writer.writerow([_fmt(z.real), _fmt(z.imag)])
-    else:
-        writer.writerow(["x", "y", "m", "n"])
-        for z, (m, n) in zip(gamma.points, gamma.indices):
-            writer.writerow([_fmt(z.real), _fmt(z.imag), str(int(m)), str(int(n))])
-    return out.getvalue()
+        return _csv("x,y", zip(xs, ys))
+    m, n = gamma.indices.T.tolist()
+    return _csv("x,y,m,n", zip(xs, ys, m, n))
 
 
 def point_set_from_csv(text: str, window_radius: float) -> PointSet:
@@ -256,36 +257,19 @@ def frame_estimate_to_doc(est: FrameEstimate) -> dict:
 
 def frame_table_csv(rows) -> str:
     """CSV of (N, A_N, B_N) rows for plotting."""
-    out = _stdio.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["N", "A_N", "B_N"])
-    for degree, a, b in rows:
-        writer.writerow([str(int(degree)), _fmt(a), _fmt(b)])
-    return out.getvalue()
+    return _csv("N,A_N,B_N", ((int(degree), a, b) for degree, a, b in rows))
 
 
 def eval_grid_csv(zs, values, alpha: float) -> str:
     """CSV grid (x, y, re, im, weighted_mag) of function values."""
-    out = _stdio.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["x", "y", "re", "im", "weighted_mag"])
     zs = np.asarray(zs).ravel()
     values = np.asarray(values).ravel()
     wmag = np.exp(-0.5 * float(alpha) * np.abs(zs) ** 2) * np.abs(values)
-    for z, v, w in zip(zs, values, wmag):
-        writer.writerow(
-            [_fmt(z.real), _fmt(z.imag), _fmt(v.real), _fmt(v.imag), _fmt(w)]
-        )
-    return out.getvalue()
+    cols = (zs.real, zs.imag, values.real, values.imag, wmag)
+    return _csv("x,y,re,im,weighted_mag", zip(*(c.tolist() for c in cols)))
 
 
 def sigma_grid_csv(zs, logs) -> str:
     """CSV grid (x, y, log_mag, phase) of log-form values."""
-    out = _stdio.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["x", "y", "log_mag", "phase"])
-    for z, lc in zip(np.asarray(zs).ravel(), logs):
-        writer.writerow(
-            [_fmt(z.real), _fmt(z.imag), _fmt(lc.log_mag), _fmt(lc.phase)]
-        )
-    return out.getvalue()
+    rows = zip(np.asarray(zs).ravel().tolist(), logs)
+    return _csv("x,y,log_mag,phase", ((z.real, z.imag, lc.log_mag, lc.phase) for z, lc in rows))

@@ -709,3 +709,30 @@ print(sorted(lazy & (set(sys.modules) - before)))
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split("\n")[-3:] == ["[]", "[]", ""]
+
+    def test_benchmark_wrappers_resolve(self, tmp_path, interp_problem):
+        # perfbench/spans.py wraps layer entry points, evaluator methods
+        # and the cli module's io names by attribute; a renamed one breaks
+        # every traced benchmark run. A fresh interpreter keeps the
+        # wrappers out of this session.
+        root = Path(__file__).resolve().parent.parent
+        script = f"""
+import sys
+sys.path.insert(0, {str(root / "perfbench")!r})
+import spans
+import fockspace.cli as cli
+tracer = spans.install(cli)
+argv = ["interpolate", "--in", {str(interp_problem)!r}, "--truncation-radius", "6",
+        "--grid=0,1,0,1,1", "--degree", "3", "--out", {str(tmp_path)!r}]
+assert cli.main(argv) == 0
+totals = tracer.totals()
+print(sorted(n for n in ("cli", "io", "interpolation.norm_growth") if n in totals))
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n")[-2] == "['cli', 'interpolation.norm_growth', 'io']"

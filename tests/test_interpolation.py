@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fockspace import interpolation
 from fockspace.canonical import _gfun_log_many
 from fockspace.errors import (
     DensityOrderViolated,
     MissingSamples,
     NodeIndexMissing,
+    QuadratureOrderTooLow,
     TruncationTooSmall,
     ValidationError,
 )
@@ -427,6 +429,33 @@ class TestNormGrowth:
         ev = build_interpolant(sub_problem(6.0), 6.0)
         with pytest.raises(ValidationError):
             norm_growth_report(ev, -1)
+
+    @pytest.mark.parametrize("N", [4, 8])
+    def test_sigma_over_z_closed_form(self, N):
+        # datum 1 at the origin of the exact lattice: g = sigma and
+        # g'(0) = 1, so the interpolant is sigma(z)/z, whose Taylor
+        # coefficients are sigma's s_{n+1}: 1, s_5 = -g2/240 and
+        # s_9 = -g2^2/161280 up to degree 8 on the square lattice
+        gamma = sub_lattice()
+        inside = np.abs(gamma.points) <= 7.0
+        data = {complex(p): (1.0 + 0j if p == 0 else 0j) for p in gamma.points[inside]}
+        prob = InterpolationProblem(gamma=gamma, alpha=ALPHA, lattice_spacing=SUB_SPACING, data=data)
+        rep = norm_growth_report(build_interpolant(prob, 7.0), N)
+        with mpmath.workdps(30):
+            g2 = 60 * mpmath.gamma(0.25) ** 8 / (960 * mpmath.pi**2 * mpmath.mpf(SUB_SPACING) ** 4)
+            s = {0: 1, 4: -g2 / 240, 8: -(g2**2) / 161280}
+            want = float(mpmath.sqrt(sum(mpmath.factorial(n) * c**2 / ALPHA**n for n, c in s.items() if n <= N)))
+        assert abs(rep.interpolant_norm - want) <= 1e-13 * want
+
+    def test_starved_angles_name_their_order(self, monkeypatch):
+        # with 32 angles the top five bins hold degrees 27 to 31 of each
+        # circle, far above rounding
+        monkeypatch.setattr(interpolation, "_angle_count", lambda *args: 32)
+        ev = build_interpolant(sub_problem(7.0), 7.0)
+        with pytest.raises(QuadratureOrderTooLow) as info:
+            norm_growth_report(ev, 4)
+        assert info.value.order == 32
+        assert info.value.fields == {"order": 32}
 
 
 def basis_logs(ev, zs):

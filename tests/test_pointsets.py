@@ -386,6 +386,36 @@ class TestCountsMatchReference:
         assert pointsets.counts(gamma, r, step) == want
 
 
+class TestCountsOnLatticeEdges:
+    """A half-open square of side k*s holds exactly k^2 points of a
+    lattice of spacing s wherever it sits, so both extremal counts are
+    k^2. Dyadic offsets and dyadic spacings put lattice points exactly
+    on the scanned squares' edges."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        s=st.one_of(st.sampled_from([0.25, 0.5, 1.0, 2.0, 8.0]), st.floats(0.3, 3.0)),
+        k=st.integers(1, 5),
+        reach=st.floats(-0.05, 3.0),
+        offset=st.tuples(st.integers(0, 7), st.integers(0, 7)),
+        step=st.floats(0.1, 1.0),
+    )
+    def test_exact_lattice_counts_k_squared(self, s, k, reach, offset, step):
+        # windows from just below the square's half-diagonal outwards
+        w = (k / math.sqrt(2.0) + reach) * s
+        n = int(math.ceil(w / s)) + 1
+        m = np.arange(-n, n + 1)
+        grid = (m[None, :] + offset[0] / 8.0) * s + 1j * (m[:, None] + offset[1] / 8.0) * s
+        pts = grid.ravel()[np.abs(grid.ravel()) <= w]
+        if pts.size == 0:
+            return
+        try:
+            got = pointsets.counts(PointSet(pts, w), k * s, step * s)
+        except errors.WindowTooSmall:
+            return
+        assert got == (k * k, k * k)
+
+
 class TestDensityEstimate:
     def test_unit_lattice(self):
         ps = pointsets.square_lattice(1.0, 40.0)
