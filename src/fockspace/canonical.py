@@ -21,42 +21,44 @@ summed as a 4-term theta series after the argument is reduced to the
 fundamental cell by the quasi-period law. The product then differs from
 ``sigma * (z - z00)/z`` by a finite product of ratios, one for each
 index of shell ``max(|m|,|n|) <= M`` (the truncation index) where the
-set differs from the lattice: a displaced point ``p`` at site ``lambda``
-contributes ``(1 - z/p) exp(z/p) / ((1 - z/lambda) exp(z/lambda))`` (the
-quadratic exponents cancel), and a lattice site carrying no zero of g
-(a removed interior point, or the site of ``z00``) contributes
-``1 / ((1 - z/lambda) exp(z/lambda + z^2/(2 lambda^2)))``. Beyond shell
-M and beyond the window the zero set is completed by the lattice
-itself, which sigma already carries. Everything is evaluated in log
-form, and exact zeros stay exact.
+set differs from the lattice. A ratio moves the zero at site ``lambda``
+to the root ``p``: ``(1 - z/p) exp(z/p) / ((1 - z/lambda) exp(z/lambda))``
+(the quadratic exponents cancel). A lattice site carrying no zero of g
+(a removed interior point, or the site of ``z00``) is the ratio with
+``p = infinity``, ``1 / ((1 - z/lambda) exp(z/lambda + z^2/(2 lambda^2)))``:
+no constant, and its quadratic exponent kept. Beyond shell M and beyond
+the window the zero set is completed by the lattice itself, which sigma
+already carries. Everything is evaluated in log form, and exact zeros
+stay exact.
 
 The log of a ratio is a polynomial part (the constant ``log(lambda/p)``
 and the exponents, linear and quadratic in z, summed over all ratios
-once per product) plus a log part, ``log((p - z)/(lambda - z))`` for a
-displaced point and ``-log((lambda - z)/lambda)`` for a site carrying
-no zero. Evaluation on many points buckets them into square tiles
-sized so that a full tile holds about 2^10 points. A tile with centre c
-and half-diagonal h splits the ratios by their site: near when
-``|lambda - c| < 2h + s/2``, far otherwise. With ``u = z - c``, the far
-log parts sum to one Taylor series per tile,
+once per product) plus a log part, ``log((p - z)/(lambda - z))``, which
+is ``log(lambda/(lambda - z))`` at ``p = infinity``. Evaluation on many
+points buckets them into square tiles sized so that a full tile holds
+about 2^10 points. A tile with centre c and half-diagonal h splits the
+ratios by their site: near when ``|lambda - c| < 2h + s/2``, far
+otherwise. With ``u = z - c``, ``x = 1/(lambda - c)`` and ``y = 1/(p -
+c)`` (``y = 0`` at ``p = infinity``), the far log parts sum to one
+Taylor series per tile,
 
-    sum log((p-c)/(lambda-c)) - sum log((lambda_bare-c)/lambda_bare)
-        + sum_j u^j/j [sum (lambda-c)^-j - (p-c)^-j + sum (lambda_bare-c)^-j],
+    sum log(x/y) + sum_j u^j/j sum (x^j - y^j),
 
-which converges because ``|u| <= h`` while ``|lambda - c| >= 2h + s/2``
-and ``|p - c| > 2h`` (a point strays by less than s/2 from its site):
-every ratio ``|u/(lambda-c)|``, ``|u/(p-c)|`` is below 1/2, so the
-remainder of one log after order J is below ``2^-J/(J+1)``. J = 58 puts
-it below 2^-63.8, so even 2^7 far logs at the worst ratio leave less
-than 2^-56; farther ratios fall off like ``(h/|lambda - c|)^(J+1)``.
-A tile with fewer points than J, such as a single point, takes every
-ratio as near.
+where ``log(x/y)`` reads ``log(lambda x)`` at ``p = infinity``. It
+converges because ``|u| <= h`` while ``|lambda - c| >= 2h + s/2`` and
+``|p - c| > 2h`` (a point strays by less than s/2 from its site): every
+ratio ``|u x|``, ``|u y|`` is below 1/2, so the remainder of one log
+after order J is below ``2^-J/(J+1)``. J = 58 puts it below 2^-63.8,
+so even 2^7 far logs at the worst ratio leave less than 2^-56; farther
+ratios fall off like ``(h/|lambda - c|)^(J+1)``. A tile with fewer
+points than J, such as a single point, takes every ratio as near.
 
 Near log parts are multiplied out in blocks of 16 and take one log|.|
 and one arg per block, since a log costs several times a complex
-multiply. Each factor is a quotient of order 1: ``(p - z)/(lambda - z)``
-displaced, and ``(lambda - z)/lambda`` bare, whose block log is
-subtracted. Products of the raw differences ``p - z`` and ``lambda - z``
+multiply. Each factor is a quotient of order 1, ``(p - z)/(lambda - z)``
+or ``lambda/(lambda - z)``, formed after the subtraction ``lambda - z``,
+which keeps the relative accuracy that ``1 - z/lambda`` loses next to
+the site. Products of the raw differences ``p - z`` and ``lambda - z``
 would reach many times the size of their quotient, and the difference
 of their logs would lose digits to cancellation. The factor that
 vanishes at a point (a root equal to z, or a ratio whose site is the
@@ -105,19 +107,19 @@ _SERIES_ORDER = 58
 # points in a full tile
 _TILE_POINTS = 1 << 10
 # Near-field factors multiplied together before one log is taken. Off
-# the lattice site nearest z a displaced quotient (p - z)/(lambda - z)
-# is below 2 in modulus, as |p - lambda| < s/2 <= |lambda - z|, and a
-# bare factor 1 - z/lambda is below 1 + |z|/s < M + 2 under the
-# truncation guard |z| < (M+1)s; at that site the factor becomes z - p
-# (below s) or -1/lambda (at most 1/s). So a block of 16 stays below
-# (M+2)^16 max(s, 1/s). A factor is small only close to its own root or
-# site, and a double z is never closer to one than an ulp, so a block
-# does not underflow either.
+# the lattice site nearest z a displaced factor (p - z)/(lambda - z) is
+# below 2 in modulus, as |p - lambda| < s/2 <= |lambda - z|, and a bare
+# factor lambda/(lambda - z) is below 2 sqrt(2) M, as |lambda| is at most
+# sqrt(2) M s; at that site the factor becomes z - p (below s) or -lambda.
+# So a block of 16 stays below (2 sqrt(2) M)^16 max(1, s). A factor is
+# small only close to its own root, and a double z is never closer to
+# one than an ulp, so a block does not underflow either.
 _BLOCK = 16
-# cells (points x padded ratios) per near-field chunk; the chunk's
-# temporaries (two complex arrays and the halving products) stay below
-# 30 MB
-_CHUNK_CELLS = 600_000
+# cells (points x padded ratios) per near-field chunk: the chunk's block
+# array is then 2.4 MB. At 600 000 cells (9.6 MB) the same arithmetic
+# took about 1.5 times as long on a 20 081-point grid with M = 44. Each
+# row is computed on its own, so the chunk size does not change a value.
+_CHUNK_CELLS = 150_000
 
 
 def _check_M(M) -> None:
@@ -246,6 +248,8 @@ class _SortedKeys:
 
     def find(self, values: np.ndarray, subset: np.ndarray):
         """``(rows, cols)`` where ``values[row]`` is the key of column ``subset[col]``."""
+        if not self.keys.size:
+            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
         local = np.full(self.keys.size, -1)
         local[subset] = np.arange(subset.size)
         pos = np.minimum(np.searchsorted(self.keys, values), self.keys.size - 1)
@@ -260,13 +264,14 @@ class CanonicalProduct:
 
     Use :func:`canonical_product` to build. The product is sigma times
     ``(z - z00)/z`` times one ratio per index of shell at most
-    ``truncation_index`` where the set differs from the lattice: a
-    displaced point (``_roots``, at ``_sites``) or a lattice site that
-    carries no zero (``_bare``). The ``_*_keys`` find a ratio by its
-    root or site. ``_poly`` holds the constant, linear and quadratic
-    coefficients of the polynomial parts summed over every ratio; the
-    log parts are taken per tile of query points (see the module
-    docstring).
+    ``truncation_index`` where the set differs from the lattice. Ratio
+    ``k`` has its site at ``_sites[k]``; the first ``_roots.size`` ratios
+    move that site's zero to ``_roots[k]``, and the others are sites
+    carrying no zero, roots at infinity. The ``_*_keys`` find a ratio
+    by its root or site. ``_poly`` holds the constant, linear and
+    quadratic coefficients of the polynomial parts summed over every
+    ratio; the log parts are taken per tile of query points (see the
+    module docstring).
     """
 
     gamma: PointSet
@@ -279,10 +284,8 @@ class CanonicalProduct:
     _index_of: dict
     _roots: np.ndarray
     _sites: np.ndarray
-    _bare: np.ndarray
     _root_keys: _SortedKeys
     _site_keys: _SortedKeys
-    _bare_keys: _SortedKeys
     _poly: tuple
 
     def node_at(self, m: int, n: int) -> complex:
@@ -354,11 +357,11 @@ def canonical_product(gamma: PointSet, lattice: SquareLattice, truncation_index:
 
     roots = gamma.points[moved]
     moved_sites = sites[moved]
-    bare_sites = lambdas[bare]
+    ratio_sites = np.concatenate([moved_sites, lambdas[bare]])
 
     # the polynomial parts: log(lambda/p) + z (1/p - 1/lambda) displaced,
     # -z/lambda - z^2/(2 lambda^2) bare
-    inv_bare = 1.0 / bare_sites
+    inv_bare = 1.0 / lambdas[bare]
     poly = (
         np.sum(np.log(moved_sites / roots)),
         np.sum(1.0 / roots - 1.0 / moved_sites) - np.sum(inv_bare),
@@ -374,11 +377,9 @@ def canonical_product(gamma: PointSet, lattice: SquareLattice, truncation_index:
         separation_q=sep,
         _index_of=index_of,
         _roots=roots,
-        _sites=moved_sites,
-        _bare=bare_sites,
+        _sites=ratio_sites,
         _root_keys=_SortedKeys.of(roots),
-        _site_keys=_SortedKeys.of(moved_sites),
-        _bare_keys=_SortedKeys.of(bare_sites),
+        _site_keys=_SortedKeys.of(ratio_sites),
         _poly=poly,
     )
 
@@ -409,10 +410,10 @@ def _blocks(rows: int, n: int) -> np.ndarray:
     return out
 
 
-def _near_log(cp: CanonicalProduct, zs: np.ndarray, moved: np.ndarray, bare: np.ndarray):
+def _near_log(cp: CanonicalProduct, zs: np.ndarray, ratios: np.ndarray):
     """Log of sigma * (z - z00)/z * the polynomial parts of every ratio
-    * the log parts of the ratios ``moved`` and ``bare`` (index arrays
-    into ``_roots`` and ``_bare``), and zero flags.
+    * the log parts of the ``ratios`` (an ascending index array into
+    ``_sites``), and zero flags.
 
     Where a linear factor vanishes its derivative stands in for it, so
     at a zero of g the value is log g'(z). Where a ratio's site (or the
@@ -428,33 +429,23 @@ def _near_log(cp: CanonicalProduct, zs: np.ndarray, moved: np.ndarray, bare: np.
         divided |= site == 0
         zero |= lead == 0
         total = total + np.log(np.where(lead == 0, 1.0, lead)) - np.log(np.where(divided, 1.0, zs))
-    n = moved.size
-    if n:
-        # (p - z)/(lambda - z), padded with ones to whole blocks
-        quot = _blocks(zs.size, n)
-        num = quot[:, :n]
-        np.subtract(cp._roots[moved], zs[:, None], out=num)
-        den = cp._sites[moved] - zs[:, None]
-        rows, cols = cp._root_keys.find(zs, moved)
-        num[rows, cols] = -1.0
-        zero[rows] = True
-        rows, cols = cp._site_keys.find(site, moved)
+    if ratios.size:
+        # lambda - z, padded with ones to whole blocks, then divided into
+        # p - z for a displaced ratio and into lambda for a bare one
+        fac = _blocks(zs.size, ratios.size)
+        den = fac[:, : ratios.size]
+        np.subtract(cp._sites[ratios], zs[:, None], out=den)
+        rows, cols = cp._site_keys.find(site, ratios)
         den[rows, cols] = -1.0
         divided[rows] = True
-        np.divide(num, den, out=num)
-        total = total + _block_log(quot)
-    n = bare.size
-    if n:
-        # (lambda - z) * (1/lambda): subtracting first keeps the relative
-        # accuracy that 1 - z/lambda loses next to the site
-        fac = _blocks(zs.size, n)
-        diff = fac[:, :n]
-        np.subtract(cp._bare[bare], zs[:, None], out=diff)
-        rows, cols = cp._bare_keys.find(site, bare)
-        diff[rows, cols] = -1.0
-        divided[rows] = True
-        diff *= 1.0 / cp._bare[bare]
-        total = total - _block_log(fac)
+        k = int(np.searchsorted(ratios, cp._roots.size))
+        num = cp._roots[ratios[:k]] - zs[:, None]
+        rows, cols = cp._root_keys.find(zs, ratios[:k])
+        num[rows, cols] = -1.0
+        zero[rows] = True
+        np.divide(num, den[:, :k], out=den[:, :k])
+        np.divide(cp._sites[ratios[k:]], den[:, k:], out=den[:, k:])
+        total = total + _block_log(fac)
     c0, c1, c2 = cp._poly
     total = total + (c0 + zs * (c1 + zs * c2))
     zero |= (w == 0) & ~divided
@@ -488,19 +479,19 @@ def _tiles(zs: np.ndarray):
         yield idx, (lo + hi) / 2.0, abs(hi - lo) / 2.0
 
 
-def _far_series(cp: CanonicalProduct, centre: complex, moved: np.ndarray, bare: np.ndarray) -> np.ndarray:
+def _far_series(cp: CanonicalProduct, centre: complex, ratios: np.ndarray) -> np.ndarray:
     """Coefficients in ``z - centre``, highest power first, of the
-    Taylor series of the log parts of the ratios ``moved`` and ``bare``.
+    Taylor series of the log parts of the ``ratios`` (ascending).
 
     With ``x = 1/(lambda - c)`` and ``y = 1/(p - c)`` the j-th
     coefficient is ``sum (x^j - y^j) / j``; a site carrying no zero is
     a displaced point gone to infinity, ``y = 0``.
     """
-    n = moved.size
-    x = 1.0 / (np.concatenate([cp._sites[moved], cp._bare[bare]]) - centre)
+    k = int(np.searchsorted(ratios, cp._roots.size))
+    x = 1.0 / (cp._sites[ratios] - centre)
     y = np.zeros_like(x)
-    y[:n] = 1.0 / (cp._roots[moved] - centre)
-    const = np.sum(np.log(x[:n] / y[:n])) + np.sum(np.log(cp._bare[bare] * x[n:]))
+    y[:k] = 1.0 / (cp._roots[ratios[:k]] - centre)
+    const = np.sum(np.log(x[:k] / y[:k])) + np.sum(np.log(cp._sites[ratios[k:]] * x[k:]))
     sums = np.empty(_SERIES_ORDER, dtype=np.complex128)
     px, py = x, y
     for j in range(_SERIES_ORDER):
@@ -524,21 +515,19 @@ def _gfun_log_many(cp: CanonicalProduct, zs: np.ndarray) -> np.ndarray:
     s = cp.lattice.spacing
     _check_truncation(np.abs(zs) / s, cp.truncation_index)
     out = np.empty(zs.shape, dtype=np.complex128)
-    every_moved, every_bare = np.arange(cp._roots.size), np.arange(cp._bare.size)
+    every = np.arange(cp._sites.size)
     for idx, centre, half in _tiles(zs):
-        moved, bare, series = every_moved, every_bare, None
+        ratios, series = every, None
         if idx.size >= _SERIES_ORDER:
-            reach = 2.0 * half + s / 2.0
-            near_moved = np.abs(cp._sites - centre) < reach
-            near_bare = np.abs(cp._bare - centre) < reach
-            moved, bare = np.flatnonzero(near_moved), np.flatnonzero(near_bare)
-            if not (near_moved.all() and near_bare.all()):
-                series = _far_series(cp, centre, np.flatnonzero(~near_moved), np.flatnonzero(~near_bare))
-        chunk = max(1, _CHUNK_CELLS // max(_padded(moved.size) + _padded(bare.size), 1))
+            close = np.abs(cp._sites - centre) < 2.0 * half + s / 2.0
+            ratios = np.flatnonzero(close)
+            if not close.all():
+                series = _far_series(cp, centre, np.flatnonzero(~close))
+        chunk = max(1, _CHUNK_CELLS // max(_padded(ratios.size), 1))
         for start in range(0, idx.size, chunk):
             sub = idx[start : start + chunk]
             part = zs[sub]
-            near, zero = _near_log(cp, part, moved, bare)
+            near, zero = _near_log(cp, part, ratios)
             if series is not None:
                 near = near + np.polyval(series, part - centre)
             out[sub] = np.where(zero, -np.inf, near)
@@ -594,7 +583,7 @@ def _node_derivative_logs(cp: CanonicalProduct, indices) -> np.ndarray:
         pos.append(cp._index_of[(m, n)])
     zq = cp.gamma.points[pos]
     _check_truncation(np.abs(zq) / cp.lattice.spacing, M)
-    total = _near_log(cp, zq, np.arange(cp._roots.size), np.arange(cp._bare.size))[0]
+    total = _near_log(cp, zq, np.arange(cp._sites.size))[0]
     return total.real + 1j * reduce_phase(total.imag)
 
 

@@ -3,9 +3,10 @@
 Each subcommand wires one library pipeline to files. Reports carry the
 resolved config, the library version, and the results; the only field
 that varies between identical runs is ``wall_time_s``. Validation
-problems exit 2, numerical diagnostics exit 3, both with a single-line
-JSON error on stderr (the error type, its message and any structured
-fields it carries), and no output files are written on failure.
+problems and requests too large for memory exit 2, numerical
+diagnostics exit 3, all with a single-line JSON error on stderr (the
+error type, its message and any structured fields it carries), and no
+output files are written on failure.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ from .pointsets import (
     square_lattice,
 )
 from .sampling import frame_bounds
-from .space import LogComplex
 
 __all__ = ["main"]
 
@@ -306,7 +306,11 @@ def _cmd_interpolate(args):
 def _cmd_sigma_grid(args):
     grid = _parse_grid(args.grid)
     lattice = SquareLattice(args.spacing)
-    logs = [LogComplex(v.real, v.imag) for v in _sigma_log_many(lattice.spacing, grid)]
+    with np.errstate(over="ignore", invalid="ignore"):  # caught just below
+        logs = _sigma_log_many(lattice.spacing, grid)
+    bad = np.isnan(logs.real) | (logs.real == math.inf)
+    if np.any(bad):
+        raise ValidationError(f"log_mag must be finite or -inf, got {logs.real[bad][0]}")
     eta1, eta2 = quasi_period_constants(lattice)
     results = {
         "spacing": args.spacing,
@@ -446,6 +450,9 @@ def main(argv=None) -> int:
     except NumericalDiagnosticError as exc:
         sys.stderr.write(_error_json(exc))
         return 3
+    except MemoryError as exc:
+        sys.stderr.write(json.dumps({"error": "MemoryError", "message": str(exc)}) + "\n")
+        return 2
     report = {
         "command": args.command,
         "version": __version__,

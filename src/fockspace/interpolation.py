@@ -319,6 +319,9 @@ class InterpolantEvaluator:
 
         Scans the interior grid |z| <= truncation_radius / 2.
         """
+        grid_step = float(grid_step)
+        if not (math.isfinite(grid_step) and grid_step > 0.0):
+            raise ValidationError("grid_step must be positive and finite")
         half = self.truncation_radius / 2.0
         n = int(math.floor(half / grid_step))
         axis = grid_step * np.arange(-n, n + 1)

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ValidationError
 from .pointsets import DensityReport, PointSet, _has_repeats
 from .sampling import FrameEstimate
-from .space import FockFunction
+from .space import FockFunction, reduce_phase
 
 __all__ = [
     "dumps_json",
@@ -270,6 +270,9 @@ def eval_grid_csv(zs, values, alpha: float) -> str:
 
 
 def sigma_grid_csv(zs, logs) -> str:
-    """CSV grid (x, y, log_mag, phase) of log-form values."""
-    rows = zip(np.asarray(zs).ravel().tolist(), logs)
-    return _csv("x,y,log_mag,phase", ((z.real, z.imag, lc.log_mag, lc.phase) for z, lc in rows))
+    """CSV grid (x, y, log_mag, phase) of complex logs (real part log|.|,
+    -inf at an exact zero); phases are reduced to (-pi, pi], 0 at zeros."""
+    zs = np.asarray(zs).ravel()
+    logs = np.asarray(logs).ravel()
+    phase = np.where(logs.real == -np.inf, 0.0, reduce_phase(logs.imag))
+    return _csv("x,y,log_mag,phase", zip(*(c.tolist() for c in (zs.real, zs.imag, logs.real, phase))))

@@ -85,9 +85,10 @@ def brute_log_g(gamma, s, K, zs):
 def _reference_ratios(cp):
     """The product's ratios in one shell-sorted list: roots, slopes, sites, shells."""
     s = cp.lattice.spacing
-    roots = np.concatenate([cp._roots, np.ones(cp._bare.size)])
-    slopes = np.concatenate([np.ones(cp._roots.size), np.zeros(cp._bare.size)])
-    sites = np.concatenate([cp._sites, cp._bare])
+    bare = cp._sites.size - cp._roots.size
+    roots = np.concatenate([cp._roots, np.ones(bare)])
+    slopes = np.concatenate([np.ones(cp._roots.size), np.zeros(bare)])
+    sites = cp._sites
     shells = np.maximum(np.abs(np.rint(sites.real / s)), np.abs(np.rint(sites.imag / s)))
     order = np.argsort(shells, kind="stable")
     return roots[order], slopes[order], sites[order], shells[order]
@@ -274,7 +275,7 @@ class TestBlockedKernelOracle:
         # roots, ratio sites, the origin, bucket boundaries and open points
         pick = st.lists(st.integers(0, 10**6), min_size=6, max_size=6)
         roots = cp._roots[[i % cp._roots.size for i in data.draw(pick)]] if cp._roots.size else []
-        sites = np.concatenate([cp._sites, cp._bare])
+        sites = cp._sites
         sites = sites[[i % sites.size for i in data.draw(pick)]] if sites.size else []
         ks = np.array(data.draw(st.lists(st.integers(1, 2 * M), min_size=6, max_size=6)))
         turns = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6)))
@@ -293,7 +294,7 @@ class TestBlockedKernelOracle:
         derivs = [gfun_derivative_at_node(cp, tuple(mn)) for mn in gam.indices]
         got = np.array([complex(d.log_mag, d.phase) for d in derivs])
         want = np.array([
-            reference_near_log(cp, np.array([complex(p)]), cp._roots.size + cp._bare.size)[0][0]
+            reference_near_log(cp, np.array([complex(p)]), cp._sites.size)[0][0]
             for p in gam.points
         ])
         assert_logs_agree(got, want)
@@ -317,7 +318,7 @@ class TestTileExpansionOracle:
         shift = data.draw(st.floats(0.0, 0.24 if kind == "translated" else 0.45))
         gam = _oracle_set(kind, s, shift, seed)
         cp = canonical_product(gam, SquareLattice(s), 16)
-        sites = np.concatenate([cp._sites, cp._bare])
+        sites = cp._sites
         specials = np.concatenate([cp._roots, sites, [0.0]]).astype(complex)
         # an 80 x 80 grid of the drawn step, about six tiles, around a
         # root, a ratio site or the origin, with the corners and edge
@@ -341,6 +342,26 @@ class TestTileExpansionOracle:
             zs = zs[np.abs(zs) < 16.5 * s]
             assert any(idx.size >= canonical._SERIES_ORDER for idx, _, _ in _tiles(zs))
             assert_logs_agree(_gfun_log_many(cp, zs), reference_log_g(cp, zs))
+
+
+def test_near_field_chunks_do_not_change_a_bit(monkeypatch):
+    # displaced and bare ratios together: 30% of the points removed,
+    # the origin kept
+    gam = perturb(square_lattice(1.0, 12.0), 0.2, seed=5)
+    keep = np.random.default_rng(5).random(len(gam)) >= 0.3
+    keep[np.flatnonzero((gam.indices == 0).all(axis=1))] = True
+    gam = PointSet(gam.points[keep], gam.window_radius, indices=gam.indices[keep])
+    cp = canonical_product(gam, SquareLattice(1.0), 30)
+    assert 0 < cp._roots.size < cp._sites.size
+    axis = 0.1 * np.arange(-70, 71)
+    grid = (axis[None, :] + 1j * axis[:, None]).ravel()
+    zs = np.concatenate([grid, gam.points])
+    zs = zs[np.abs(zs) <= 7.0]
+    whole = _gfun_log_many(cp, zs)
+    # exact zeros at the set's points, and nowhere else
+    assert np.count_nonzero(np.isneginf(whole.real)) == np.count_nonzero(np.abs(gam.points) <= 7.0)
+    monkeypatch.setattr(canonical, "_CHUNK_CELLS", 16)
+    np.testing.assert_array_equal(_gfun_log_many(cp, zs), whole)
 
 
 class TestSigma:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fockspace import square_lattice
+from fockspace import cli, square_lattice
 from fockspace.cli import main
 from fockspace.io import dumps_json, problem_doc
 
@@ -280,6 +280,18 @@ class TestValidationExits:
         assert rc == 2
         assert not out.exists()
         assert error_doc(capsys)["error"] == "ValidationError"
+
+    def test_memory_error_exits_2_without_files(self, tmp_path, capsys, monkeypatch):
+        def exhausted(args):
+            raise MemoryError("Unable to allocate 298. GiB")
+
+        monkeypatch.setitem(cli._HANDLERS, "lattice", exhausted)
+        out = tmp_path / "fresh"
+        rc = main(["lattice", "--spacing", "1", "--window", "5", "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        doc = error_doc(capsys)
+        assert doc == {"error": "MemoryError", "message": "Unable to allocate 298. GiB"}
 
     def test_csv_point_set_needs_window(self, tmp_path, capsys):
         src = tmp_path / "pts.csv"
@@ -615,6 +627,15 @@ class TestSigmaGrid:
         ]
         assert len(rows) == 25
         assert len(zeros) == len(on_lattice) == 9
+
+    def test_overflowing_log_modulus_exits_2_without_files(self, tmp_path, capsys):
+        out = tmp_path / "fresh"
+        rc = main(["sigma-grid", "--spacing", "1", "--grid=1.5e154,1.5e154,0.5,0.5,1", "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        doc = error_doc(capsys)
+        assert doc["error"] == "ValidationError"
+        assert "log_mag" in doc["message"]
 
 
 class TestGrowthCheck:

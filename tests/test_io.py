@@ -24,7 +24,7 @@ from fockspace.io import (
 )
 from fockspace.pointsets import perturb, square_lattice
 from fockspace.sampling import frame_bounds
-from fockspace.space import FockFunction, LogComplex
+from fockspace.space import FockFunction
 
 
 class TestDumpsJson:
@@ -208,11 +208,12 @@ class TestCsvTables:
         assert second[4] == pytest.approx(3.0 * math.exp(-0.5 * 0.5 * 2.0))
 
     def test_sigma_grid_exact_zero_literal(self):
-        zs = [0.0j]
-        logs = [LogComplex(-math.inf, 0.0)]
+        zs = [0.0j, 1.0 + 0.0j]
+        logs = np.array([complex(-math.inf, 2.0), complex(0.5, 3.0 * math.pi)])
         lines = sigma_grid_csv(zs, logs).splitlines()
         assert lines[1] == "0,0,-Infinity,0"
         assert float(lines[1].split(",")[2]) == -math.inf
+        assert [float(p) for p in lines[2].split(",")] == [1.0, 0.0, 0.5, math.pi]
 
     def test_frame_table_layout(self):
         text = frame_table_csv([(8, 0.5, 1.5), (16, 0.25, 1.75)])
