@@ -618,8 +618,8 @@ def growth_check(cp: CanonicalProduct, alpha: float, grid_radius: float, grid_st
     alpha = _check_alpha(alpha)
     grid_radius = float(grid_radius)
     grid_step = float(grid_step)
-    if not (grid_radius > 0.0 and grid_step > 0.0):
-        raise ValidationError("grid_radius and grid_step must be positive")
+    if not (grid_radius > 0.0 and math.isfinite(grid_step) and grid_step > 0.0):
+        raise ValidationError("grid_radius must be positive, grid_step positive and finite")
     if grid_radius > 0.6 * cp.gamma.window_radius + 1e-12:
         raise ValidationError(
             "grid_radius must stay within 0.6 of the window radius to "

@@ -24,11 +24,11 @@ node, so ``L_i(z_j)`` is 1 for j = i and 0 otherwise:
 
 Data targets follow the weighted convention: a_mn prescribes
 ``exp(-alpha |z_mn|^2 / 2) f(z_mn)``, hence the coefficient a~_mn.
-Basis and coefficients are complex logs (see :mod:`fockspace.space`)
-and one log-sum-exp adds the terms, so the large opposing exponentials
-cancel before exponentiation. The basis holds ``L_i(z_i) = 1``
-exactly, and every other term vanishes exactly at a node (the product
-carries exact zeros), so node identities hold at rounding level.
+The series is the scaled Cauchy sum ``g(z) sum_i exp(a_i + kappa
+conj(z_i) (z - z_i)) / (z - z_i)``, ``a_i = log(c_i / g'(z_i))``: log g
+and the shifted exponents (see :mod:`fockspace.space`) cancel the large
+opposing exponentials before exponentiation. A node returns its
+coefficient exactly and every other zero of g an exact zero.
 
 Both series are truncated by node radius. Residuals are reported over
 the interior (half the truncation radius) only, so truncation effects
@@ -76,8 +76,8 @@ __all__ = [
 ]
 
 _CRITICAL_BAND = 1e-9
-# basis cells (nodes x points) per block of a series sum
-_SERIES_CELLS = 1 << 19
+# basis cells (nodes x points) per block of a series sum: 512 kB of terms
+_SERIES_CELLS = 1 << 15
 
 
 def _sq(z):
@@ -139,7 +139,11 @@ class _LagrangeBasis:
     """``L_i(z) = g(z) exp(kappa conj(z_i) (z - z_i)) / (g'(z_i) (z - z_i))``.
 
     ``product`` is the canonical product g of the whole set, ``nodes``
-    the z_i and ``node_dlogs`` the complex logs of g'(z_i).
+    the z_i and ``node_dlogs`` the complex logs of g'(z_i). Series are
+    scaled Cauchy sums (module docstring). At kappa = 0 the exponents are
+    the a_i alone, shifted by one global max, within
+    ``log(max|z - z_i| / min|z - z_i|)`` of each column's own shift: a
+    dropped term is below exp(-745) times that ratio of the largest.
     """
 
     product: CanonicalProduct
@@ -152,31 +156,25 @@ class _LagrangeBasis:
         cp = canonical_product(gamma, SquareLattice(spacing), M)
         return cls(cp, nodes, _node_derivative_logs(cp, node_indices), kappa)
 
-    def logs(self, zs: np.ndarray, glog: np.ndarray) -> np.ndarray:
-        """Complex logs of the basis at ``zs``, shape (nodes, points).
-
-        ``glog`` holds log g at ``zs``. At ``z = z_i`` row i holds
-        ``L_i = 1`` exactly and every other row an exact zero. Rows are
-        built one at a time, so the result is the only full-size array.
-        """
-        out = np.empty((self.nodes.size, zs.size), dtype=np.complex128)
-        for i, node in enumerate(self.nodes):
-            w = zs - node
-            hit = w == 0
-            out[i] = glog - self.node_dlogs[i] + self.kappa * np.conj(node) * w
-            out[i] -= _log(np.where(hit, 1.0, w))
-            out[i, hit] = 0.0
-        return out
-
     def series(self, coeff_logs: np.ndarray, zs: np.ndarray) -> np.ndarray:
-        """Complex log of ``sum_i c_i L_i`` at ``zs``, summed in column
-        blocks of at most ``_SERIES_CELLS`` basis cells to bound memory."""
+        """Complex log of ``sum_i c_i L_i`` at ``zs`` in blocks of ``_SERIES_CELLS``
+        cells, each one z - z_i buffer, exact while |z - z_i| is a normal double."""
         glog = _gfun_log_many(self.product, zs)
+        zero = glog.real == -np.inf
+        a = (coeff_logs - self.node_dlogs)[:, None]
         out = np.empty(zs.size, dtype=np.complex128)
         width = max(1, _SERIES_CELLS // max(self.nodes.size, 1))
+        buf = np.empty((self.nodes.size, min(width, zs.size)), dtype=np.complex128)
         for start in range(0, zs.size, width):
             cols = slice(start, start + width)
-            out[cols] = _combine_term_logs(self.logs(zs[cols], glog[cols]) + coeff_logs[:, None])
+            w = np.subtract(zs[cols], self.nodes[:, None], out=buf[:, : zs[cols].size])
+            w[:, zero[cols]] = 1.0  # zeros of g, the nodes among them: set below
+            exps = self.kappa * np.conj(self.nodes)[:, None] * w if self.kappa else np.zeros_like(a)
+            exps += a
+            out[cols] = glog[cols] + _combine_term_logs(exps, np.divide(1.0, w, out=w))
+        out[zero] = -np.inf
+        rows, hits = np.nonzero(self.nodes[:, None] == zs[zero])
+        out[np.flatnonzero(zero)[hits]] = coeff_logs[rows]
         return out
 
 
@@ -191,8 +189,10 @@ def lagrange_reconstruct(gamma: PointSet, alpha: float, samples: dict, z, trunca
     The series runs on the Lagrange basis shared with the interpolant,
     here ``L_i(z) = g(z) / (g'(z_i) (z - z_i))`` with g the canonical
     product of the set, so ``L_i(z_i) = 1``; the coefficients are the
-    samples themselves. Basis and coefficients are complex logs, so the
-    opposing Gaussian-scale factors cancel before exponentiation.
+    samples themselves: the plain Cauchy sum ``g(z) sum_i (f(z_i) /
+    g'(z_i)) / (z - z_i)``. Its weights are exponentiated after one global
+    shift, within ``log(max|z - z_i| / min|z - z_i|)`` of each column's
+    own, and log g joins in log form, so the Gaussian-scale factors cancel.
 
     Raises
     ------

@@ -15,6 +15,7 @@ import io as _stdio
 import json
 import math
 import operator
+from itertools import chain
 
 import numpy as np
 
@@ -160,19 +161,22 @@ def point_set_from_doc(doc: dict) -> PointSet:
     return PointSet(points, window, indices=indices)
 
 
-def _csv(header: str, rows) -> str:
-    """CSV text of a header line and rows of numbers, ints as such and
-    the rest through ``_fmt``; no cell holds a comma or a quote."""
-    lines = [header] + [",".join([str(c) if isinstance(c, int) else _fmt(c) for c in row]) for row in rows]
-    return "\n".join(lines) + "\n"
+def _csv(header: str, *columns) -> str:
+    """CSV text of a header line and equal-length columns of numbers in one
+    ``%`` format, ``%d`` for ints and ``%.17g`` else; no finite cell holds
+    ``nan`` or ``inf``, so ``_fmt``'s non-finite spellings replace them."""
+    cells = tuple(chain.from_iterable(zip(*columns)))
+    row = ",".join("%d" if isinstance(c, int) else "%.17g" for c in cells[: len(columns)]) + "\n"
+    body = (row * (len(cells) // max(len(columns), 1))) % cells
+    return header + "\n" + body.replace("nan", "NaN").replace("inf", "Infinity")
 
 
 def point_set_csv(gamma: PointSet) -> str:
     xs, ys = gamma.points.real.tolist(), gamma.points.imag.tolist()
     if gamma.indices is None:
-        return _csv("x,y", zip(xs, ys))
+        return _csv("x,y", xs, ys)
     m, n = gamma.indices.T.tolist()
-    return _csv("x,y,m,n", zip(xs, ys, m, n))
+    return _csv("x,y,m,n", xs, ys, m, n)
 
 
 def point_set_from_csv(text: str, window_radius: float) -> PointSet:
@@ -257,7 +261,7 @@ def frame_estimate_to_doc(est: FrameEstimate) -> dict:
 
 def frame_table_csv(rows) -> str:
     """CSV of (N, A_N, B_N) rows for plotting."""
-    return _csv("N,A_N,B_N", ((int(degree), a, b) for degree, a, b in rows))
+    return _csv("N,A_N,B_N", *zip(*((int(degree), float(a), float(b)) for degree, a, b in rows)))
 
 
 def eval_grid_csv(zs, values, alpha: float) -> str:
@@ -266,7 +270,7 @@ def eval_grid_csv(zs, values, alpha: float) -> str:
     values = np.asarray(values).ravel()
     wmag = np.exp(-0.5 * float(alpha) * np.abs(zs) ** 2) * np.abs(values)
     cols = (zs.real, zs.imag, values.real, values.imag, wmag)
-    return _csv("x,y,re,im,weighted_mag", zip(*(c.tolist() for c in cols)))
+    return _csv("x,y,re,im,weighted_mag", *(c.tolist() for c in cols))
 
 
 def sigma_grid_csv(zs, logs) -> str:
@@ -275,4 +279,4 @@ def sigma_grid_csv(zs, logs) -> str:
     zs = np.asarray(zs).ravel()
     logs = np.asarray(logs).ravel()
     phase = np.where(logs.real == -np.inf, 0.0, reduce_phase(logs.imag))
-    return _csv("x,y,log_mag,phase", zip(*(c.tolist() for c in (zs.real, zs.imag, logs.real, phase))))
+    return _csv("x,y,log_mag,phase", *(c.tolist() for c in (zs.real, zs.imag, logs.real, phase)))

@@ -21,7 +21,8 @@ instead of returning infinities.
 Inside the package an array of values in log form is one complex array:
 its real part is ``log|.|``, ``-inf`` for an exact zero, and its
 imaginary part is the phase. Products are sums of such arrays, and
-:func:`_combine_term_logs` is the one log-sum-exp that adds terms up.
+:func:`_combine_term_logs` is the one log-sum-exp that adds terms up
+(times plain factors in the Lagrange series' scaled Cauchy sum).
 :class:`LogComplex` is the scalar form the public API returns.
 """
 
@@ -337,7 +338,7 @@ def _weighted_term_logs(f: FockFunction, zs: np.ndarray) -> np.ndarray:
     return _log(f.weights)[:, None] + e - 0.5 * a * (zs.real**2 + zs.imag**2)[None, :]
 
 
-def _combine_term_logs(logs: np.ndarray) -> np.ndarray:
+def _combine_term_logs(logs: np.ndarray, factors: np.ndarray | None = None) -> np.ndarray:
     """Sum complex-log terms along the first axis; one complex log per column.
 
     The reduction subtracts the per-column maximum of ``log|.|`` before
@@ -345,11 +346,16 @@ def _combine_term_logs(logs: np.ndarray) -> np.ndarray:
     total is representable in log form. A column without terms, or
     with only exact zeros, sums to an exact zero. Summation order is
     fixed by the input shape, which keeps repeated runs bit-identical.
+
+    Plain ``factors`` (1/(z - z_i) in the scaled Cauchy sum) multiply the
+    exponentiated terms; ``logs`` broadcasts to them, and both are overwritten.
     """
     top = np.max(logs.real, axis=0, initial=-np.inf)
     safe_top = np.where(np.isfinite(top), top, 0.0)
-    scaled = logs - safe_top
+    scaled = logs - safe_top if factors is None else np.subtract(logs, safe_top, out=logs)
     np.exp(scaled, out=scaled)
+    if factors is not None:
+        scaled = np.multiply(factors, scaled, out=factors)
     return safe_top + _log(np.sum(scaled, axis=0))
 
 
@@ -439,8 +445,8 @@ def norm_inf(f: FockFunction, search_radius: float, grid_step: float) -> float:
     """
     search_radius = float(search_radius)
     grid_step = float(grid_step)
-    if not (search_radius > 0.0 and grid_step > 0.0):
-        raise ValidationError("search_radius and grid_step must be positive")
+    if not (search_radius > 0.0 and math.isfinite(grid_step) and grid_step > 0.0):
+        raise ValidationError("search_radius must be positive, grid_step positive and finite")
     need = concentration_radius(f)
     if search_radius < need:
         raise RadiusTooSmall(

@@ -734,3 +734,9 @@ class TestGrowthCheck:
             growth_check(cp, -1.0, 4.0, 0.25)
         with pytest.raises(ValidationError):
             growth_check(cp, math.pi, 4.0, 0.0)
+
+    @pytest.mark.parametrize("step", [math.inf, math.nan, 0.0, -1.0])
+    def test_rejects_bad_grid_step(self, step):
+        cp = canonical_product(square_lattice(1.0, 8.0), SquareLattice(1.0), 25)
+        with pytest.raises(ValidationError, match="grid_step"):
+            growth_check(cp, 1.0, 3.0, step)

@@ -436,6 +436,24 @@ class TestReconstruct:
         report = read_report(tmp_path, "reconstruct")
         assert report["results"]["grid_points"] == 25
 
+    def test_grid_bytes_do_not_depend_on_blas_threads(self, tmp_path, recon_problem):
+        # the series sums its nodes with a fixed-order np.sum, not a BLAS
+        # product whose blocking follows the thread count
+        src = Path(__file__).resolve().parent.parent / "src"
+        grids = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            proc = subprocess.run(
+                [sys.executable, "-m", "fockspace", "reconstruct", "--in", str(recon_problem),
+                 "--truncation-radius", "8", "--grid=-3.9,3.9,-3.9,3.9,0.1", "--out", str(out)],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads},
+            )
+            assert proc.returncode == 0, proc.stderr
+            grids.append((out / "recon_grid.csv").read_bytes())
+        assert grids[0] == grids[1]
+
     def test_grid_clipped_to_interior(self, tmp_path, recon_problem):
         rc = main(
             [

@@ -26,6 +26,7 @@ from fockspace.interpolation import (
     residual_check,
 )
 from fockspace.pointsets import PointSet, perturb, scale_lattice_to_density, square_lattice
+from fockspace.space import _combine_term_logs, _log
 
 ALPHA = 1.0
 SUPER_SPACING = math.sqrt(math.pi / 1.5)
@@ -60,6 +61,16 @@ def bounded_data(gamma, radius, seed):
     rng = np.random.default_rng(seed)
     vals = rng.uniform(-1, 1, nodes.size) + 1j * rng.uniform(-1, 1, nodes.size)
     return {complex(p): complex(v) for p, v in zip(nodes, vals)}
+
+
+KERNEL_ZETAS = (0.5 + 0.3j, -1.2 + 0.8j, 0.9 - 1.1j)
+KERNEL_WEIGHTS = (1.0, -0.6 + 0.4j, 0.3j)
+
+
+def kernel_combo(z):
+    """A fixed three-term kernel combination, the known function sampled."""
+    z = np.asarray(z, dtype=complex)
+    return sum(w * np.exp(ALPHA * np.conj(c) * z) for c, w in zip(KERNEL_ZETAS, KERNEL_WEIGHTS))
 
 
 def disk_grid(radius, step):
@@ -128,19 +139,12 @@ class TestLagrangeReconstruct:
         # density-1.5 set; the bound is twice the 7.53e-13 that one log
         # per (point, ratio) pair reaches, so a kernel that loses digits
         # to cancellation fails here while every looser tolerance passes
-        zetas = (0.5 + 0.3j, -1.2 + 0.8j, 0.9 - 1.1j)
-        weights = (1.0, -0.6 + 0.4j, 0.3j)
-
-        def f(z):
-            z = np.asarray(z, dtype=complex)
-            return sum(w * np.exp(ALPHA * np.conj(c) * z) for c, w in zip(zetas, weights))
-
         gamma = perturb(square_lattice(SUPER_SPACING, 12.0), 0.2 * SUPER_SPACING, seed=1)
-        samples = samples_for(gamma, f, 12.0)
+        samples = samples_for(gamma, kernel_combo, 12.0)
         grid = disk_grid(4.9, 0.1)
         grid = grid[np.abs(grid) < 4.9]
         got = lagrange_reconstruct(gamma, ALPHA, samples, grid, 10.0)
-        err = np.abs(np.exp(-0.5 * ALPHA * np.abs(grid) ** 2) * (got - f(grid)))
+        err = np.abs(np.exp(-0.5 * ALPHA * np.abs(grid) ** 2) * (got - kernel_combo(grid)))
         assert float(np.max(err)) <= 1.51e-12
 
     def test_linear_in_samples(self):
@@ -464,10 +468,27 @@ class TestNormGrowth:
         assert info.value.fields == {"order": 32}
 
 
-def basis_logs(ev, zs):
-    """Complex logs of the evaluator's Lagrange basis at ``zs``, (nodes, points)."""
-    basis = ev._basis
-    return basis.logs(zs, _gfun_log_many(basis.product, zs))
+def basis_logs(basis, zs):
+    """Complex logs of a Lagrange basis at ``zs``, shape (nodes, points).
+
+    The oracle of the scaled Cauchy sum in ``series``: one log per
+    (node, point) cell. At ``z = z_i`` row i holds ``L_i = 1`` exactly
+    and every other row an exact zero.
+    """
+    glog = _gfun_log_many(basis.product, zs)
+    out = np.empty((basis.nodes.size, zs.size), dtype=np.complex128)
+    for i, node in enumerate(basis.nodes):
+        w = zs - node
+        hit = w == 0
+        out[i] = glog - basis.node_dlogs[i] + basis.kappa * np.conj(node) * w
+        out[i] -= _log(np.where(hit, 1.0, w))
+        out[i, hit] = 0.0
+    return out
+
+
+def reference_series(basis, coeff_logs, zs):
+    """Complex log of ``sum_i c_i L_i`` at ``zs`` by the log-domain oracle."""
+    return _combine_term_logs(basis_logs(basis, zs) + coeff_logs[:, None])
 
 
 def mp_sigma(s, z):
@@ -493,7 +514,7 @@ class TestOneProductBasis:
         )
         ev = build_interpolant(prob, 10.0)
         zs = np.array([0.37 + 0.21j, -1.3 + 2.2j, 2.9 - 0.6j, -3.1 - 2.7j, 0.9 + 4.1j])
-        got = np.exp(basis_logs(ev, zs))
+        got = np.exp(basis_logs(ev._basis, zs))
         worst = 0.0
         with mpmath.workdps(30):
             for node, row in zip(ev._basis.nodes, got):
@@ -532,8 +553,110 @@ class TestOneProductBasis:
         w = np.abs(grid[None, :] - nodes[near][:, None])
         kappa = ALPHA * (1.0 - ratio)
         weighted = (
-            basis_logs(ev, grid)[near].real
+            basis_logs(ev._basis, grid)[near].real
             + 0.5 * ALPHA * (np.abs(nodes[near])[:, None] ** 2 - np.abs(grid)[None, :] ** 2)
             + 0.5 * kappa * w**2
         )
         assert float(np.max(weighted[w >= 2.0 * spacing])) < math.log(3.0)
+
+
+def series_case(ratio, shift, seed, radius):
+    """A Lagrange basis over the nodes within ``radius`` of a lattice of
+    density ratio * alpha / pi, perturbed by up to ``shift`` spacings in a
+    window two wider, with the coefficient logs its caller sums:
+    kernel-combination samples on the basis ``lagrange_reconstruct``
+    builds (ratio > 1, kappa = 0), or the interpolant's weighted
+    targets of bounded data (ratio < 1, kappa = alpha - beta)."""
+    spacing = math.sqrt(math.pi / (ALPHA * ratio))
+    gamma = perturb(square_lattice(spacing, radius + 2.0), shift * spacing, seed=seed)
+    if ratio < 1.0:
+        prob = InterpolationProblem(
+            gamma=gamma, alpha=ALPHA, lattice_spacing=spacing, data=bounded_data(gamma, radius, seed)
+        )
+        ev = build_interpolant(prob, radius)
+        return ev._basis, _log(ev._targets) + 0.5 * ALPHA * np.abs(ev._basis.nodes) ** 2
+    fitted = interpolation._fitted_spacing(gamma)
+    inside = np.abs(gamma.points) <= radius
+    M = int(math.ceil(2.0 * radius / fitted)) + 20
+    basis = interpolation._LagrangeBasis.of(gamma, fitted, M, gamma.points[inside], gamma.indices[inside], 0.0)
+    return basis, _log(kernel_combo(basis.nodes))
+
+
+def assert_series_agree(basis, coeff_logs, zs):
+    """The scaled Cauchy sum matches the log-domain oracle: weighted
+    values within 1e-13 of the larger weighted value."""
+    weight = 0.5 * ALPHA * np.abs(zs) ** 2
+    new = np.exp(basis.series(coeff_logs, zs) - weight)
+    old = np.exp(reference_series(basis, coeff_logs, zs) - weight)
+    scale = max(np.max(np.abs(new)), np.max(np.abs(old)))
+    assert np.max(np.abs(new - old)) <= 1e-13 * scale
+
+
+REGIMES = pytest.mark.parametrize("ratio", [1.5, 0.8], ids=["reconstruct", "interpolate"])
+
+
+class TestScaledCauchySeries:
+    @REGIMES
+    def test_node_hits_are_bit_exact(self, ratio):
+        basis, coeff_logs = series_case(ratio, 0.2, 3, 8.0)
+        picks = np.flatnonzero(np.abs(basis.nodes) <= 4.0)
+        assert np.array_equal(basis.series(coeff_logs, basis.nodes[picks]), coeff_logs[picks])
+        assert_series_agree(basis, coeff_logs, np.concatenate([disk_grid(4.0, 0.5), basis.nodes[picks]]))
+
+    @REGIMES
+    @pytest.mark.parametrize("offset", [1e-12, 1e-200])
+    def test_points_next_to_a_node(self, ratio, offset):
+        # the exact lattice has a node at the origin, where an offset of
+        # 1e-200 is representable
+        basis, coeff_logs = series_case(ratio, 0.0, 0, 8.0)
+        turns = np.exp(1j * np.linspace(0.3, 6.0, basis.nodes.size))
+        zs = basis.nodes + offset * turns
+        zs = zs[(zs != basis.nodes) & (np.abs(zs) <= 3.0)]
+        assert zs.size >= 1 and np.min(np.abs(zs - basis.nodes[:, None])) > 0.0
+        assert_series_agree(basis, coeff_logs, zs)
+
+    @REGIMES
+    def test_zeros_beyond_the_nodes_are_exact(self, ratio):
+        basis, coeff_logs = series_case(ratio, 0.2, 5, 6.0)
+        pts = basis.product.gamma.points
+        beyond = pts[(np.abs(pts) > 6.0) & (np.abs(pts) < 8.0)]
+        got = basis.series(coeff_logs, beyond)
+        assert beyond.size and np.all(got.real == -np.inf) and np.all(np.exp(got) == 0)
+        assert_series_agree(basis, coeff_logs, np.concatenate([disk_grid(3.0, 0.5), beyond]))
+
+    def test_far_nodes_underflow_alike(self):
+        # at truncation radius 40 the exponents Re a_i = Re log(c_i / g'(z_i))
+        # span more nats than exp can hold, so the one global shift drops
+        # the far nodes, as the oracle's per-column shift does
+        basis, coeff_logs = series_case(1.5, 0.2, 2, 40.0)
+        a = (coeff_logs - basis.node_dlogs).real
+        assert a.max() - a.min() > 745.0
+        inner = basis.nodes[np.abs(basis.nodes) <= 2.0]
+        assert_series_agree(basis, coeff_logs, np.concatenate([disk_grid(2.5, 0.25), inner]))
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        ratio=st.sampled_from([0.5, 0.8, 0.9, 1.2, 1.5]),
+        shift=st.floats(0.0, 0.2),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_the_log_domain_oracle(self, ratio, shift, seed):
+        # within 0.4 of the truncation radius: further out the density-1.5
+        # sum cancels terms far larger than its value, and both paths
+        # lose digits to it (the new one fewer, see the next test)
+        basis, coeff_logs = series_case(ratio, shift, seed, 10.0)
+        inner = basis.nodes[np.abs(basis.nodes) <= 4.0]
+        zs = np.concatenate([disk_grid(4.0, 0.3), inner[:4], inner[4:8] + 1e-12])
+        assert_series_agree(basis, coeff_logs, zs)
+
+    def test_reconstruction_error_no_larger_than_the_oracle(self):
+        # the set, samples and grid of test_weighted_error_on_perturbed_set
+        basis, coeff_logs = series_case(1.5, 0.2, 1, 10.0)
+        samples = {complex(p): complex(v) for p, v in zip(basis.nodes, kernel_combo(basis.nodes))}
+        grid = disk_grid(4.9, 0.1)
+        grid = grid[np.abs(grid) < 4.9]
+        weight = np.exp(-0.5 * ALPHA * np.abs(grid) ** 2)
+        want = kernel_combo(grid)
+        new = lagrange_reconstruct(basis.product.gamma, ALPHA, samples, grid, 10.0)
+        old = np.exp(reference_series(basis, coeff_logs, grid))
+        assert np.max(weight * np.abs(new - want)) <= np.max(weight * np.abs(old - want))

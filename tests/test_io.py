@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from fockspace import io
 from fockspace.errors import ValidationError
 from fockspace.io import (
     dumps_json,
@@ -196,7 +197,32 @@ class TestProblemDocs:
             problem_from_doc(doc)
 
 
+# cells whose spelling a one-format CSV writer must keep: the non-finite
+# ones, a signed zero, the smallest subnormal and the largest double
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308, 0.1, -1e16, 2.5e-300]
+
+
+def per_cell_csv(header, rows):
+    """CSV text with every cell through ``_fmt`` and ints as such."""
+    lines = [header] + [",".join(str(c) if isinstance(c, int) else io._fmt(c) for c in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 class TestCsvTables:
+    def test_one_format_equals_per_cell_fmt(self):
+        xs = [a for a in EDGE_FLOATS for _ in EDGE_FLOATS]
+        ys = [b for _ in EDGE_FLOATS for b in EDGE_FLOATS]
+        ks = list(range(-40, -40 + len(xs)))
+        assert io._csv("x,k,y", xs, ks, ys) == per_cell_csv("x,k,y", zip(xs, ks, ys))
+        assert io._csv("x,y", [], []) == "x,y\n"
+
+    def test_int_columns_keep_their_spelling(self):
+        gamma = perturb(square_lattice(0.7, 3.0), 0.1, seed=2)
+        rows = zip(gamma.points.real.tolist(), gamma.points.imag.tolist(), *gamma.indices.T.tolist())
+        assert point_set_csv(gamma) == per_cell_csv("x,y,m,n", rows)
+        table = [(8, math.nan, math.inf), (16, -0.0, 5e-324), (1024, 1.7976931348623157e308, -math.inf)]
+        assert frame_table_csv(table) == per_cell_csv("N,A_N,B_N", table)
+
     def test_eval_grid_weighted_magnitude(self):
         zs = np.array([0.0j, 1.0 + 1.0j])
         values = np.array([2.0 + 0.0j, 3.0j])

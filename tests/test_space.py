@@ -294,6 +294,12 @@ class TestNormInf:
         with pytest.raises(errors.RadiusTooSmall):
             space.norm_inf(f, 5.0, 0.1)
 
+    @pytest.mark.parametrize("step", [math.inf, math.nan, 0.0, -1.0])
+    def test_rejects_bad_grid_step(self, step):
+        f = FockFunction.monomial(1.0, [1.0])
+        with pytest.raises(errors.ValidationError, match="grid_step"):
+            space.norm_inf(f, 5.0, step)
+
 
 class TestTranslate:
     def test_identity(self):
