@@ -78,6 +78,7 @@ __all__ = [
 _CRITICAL_BAND = 1e-9
 # basis cells (nodes x points) per block of a series sum: 512 kB of terms
 _SERIES_CELLS = 1 << 15
+_TINY = np.finfo(np.float64).tiny
 
 
 def _sq(z):
@@ -158,9 +159,13 @@ class _LagrangeBasis:
 
     def series(self, coeff_logs: np.ndarray, zs: np.ndarray) -> np.ndarray:
         """Complex log of ``sum_i c_i L_i`` at ``zs`` in blocks of ``_SERIES_CELLS``
-        cells, each one z - z_i buffer, exact while |z - z_i| is a normal double."""
+        cells, each one z - z_i buffer. A z whose |z - z_i| is not a normal
+        double, where 1/(z - z_i) could overflow, is a hit on node i."""
         glog = _gfun_log_many(self.product, zs)
         zero = glog.real == -np.inf
+        # Distinct doubles closer than tiny both lie below 2**-969, where the
+        # spacing of doubles drops under tiny: only such z need the check.
+        small = np.minimum(np.abs(zs.real), np.abs(zs.imag)) < 2.0**-969
         a = (coeff_logs - self.node_dlogs)[:, None]
         out = np.empty(zs.size, dtype=np.complex128)
         width = max(1, _SERIES_CELLS // max(self.nodes.size, 1))
@@ -168,12 +173,14 @@ class _LagrangeBasis:
         for start in range(0, zs.size, width):
             cols = slice(start, start + width)
             w = np.subtract(zs[cols], self.nodes[:, None], out=buf[:, : zs[cols].size])
+            near = np.flatnonzero(small[cols])
+            zero[start + near] |= np.abs(w[:, near]).min(axis=0, initial=np.inf) < _TINY
             w[:, zero[cols]] = 1.0  # zeros of g, the nodes among them: set below
             exps = self.kappa * np.conj(self.nodes)[:, None] * w if self.kappa else np.zeros_like(a)
             exps += a
             out[cols] = glog[cols] + _combine_term_logs(exps, np.divide(1.0, w, out=w))
         out[zero] = -np.inf
-        rows, hits = np.nonzero(self.nodes[:, None] == zs[zero])
+        rows, hits = np.nonzero(np.abs(self.nodes[:, None] - zs[zero]) < _TINY)
         out[np.flatnonzero(zero)[hits]] = coeff_logs[rows]
         return out
 

@@ -280,6 +280,8 @@ def nearest_distance(gamma: PointSet, zs) -> np.ndarray:
 
 # Candidate rows, and (query, point) pairs, per pass of the bucket search.
 _CHUNK = 1 << 16
+# Cells of one block of count tables, or of its (t_y, column) counts.
+_COUNT_CELLS = 1 << 20
 
 
 def _nearest_sq(points, queries, skip_self=False) -> np.ndarray:
@@ -451,14 +453,21 @@ def counts(gamma: PointSet, r: float, translate_step: float):
     edge crosses a point coordinate or the feasibility boundary crosses
     such an event line, so evaluating at those critical translates (the
     coarse ``translate_step`` grid is folded in as a prefilter) is
-    exhaustive. A run of candidate ``t_x`` sharing one column of points
-    ``t_x <= x < t_x + r`` is scanned in one pass. At each ``t_x`` the
-    ``t_y`` candidates are the y-events in its feasible interval
-    ``[-g, g - r]`` plus both ends. These intervals are nested about
-    ``-r/2``, also in floating point as ``sqrt`` and ``g - r`` round
-    monotonically, so a column's candidates are the y-events in its
-    widest interval plus every translate's ends: exactly the
-    ``(column, t_y)`` pairs, and so the counts, of a per-translate scan.
+    exhaustive. Candidate ``t_x`` sharing one column of points
+    ``t_x <= x < t_x + r`` share its counts, and their ``t_y`` candidates
+    are the y-events in the widest feasible interval ``[-g, g - r]`` plus
+    every translate's ends: the intervals are nested about ``-r/2``, also
+    in floating point as ``sqrt`` and ``g - r`` round monotonically.
+
+    With the points in x order and ``rank_j`` the y rank of point j, the
+    prefix-count table ``T[i, q] = #{j < i : rank_j < q}`` puts
+    ``T[i1, q] - T[i0, q]`` points of column ``[i0, i1)`` below v, where
+    ``q`` counts all y below v. That is the integer a ``searchsorted`` of
+    v in the column's sorted y gives, so the counts are a column scan's
+    bit for bit. A block of columns builds its rows ``T[i1] - T[i0]`` at
+    once, as cumulative sums of a +1 where each point enters a column and
+    a -1 where it leaves. A block's table and its counts each hold at
+    most ``_COUNT_CELLS`` cells, or one column's if that is more.
 
     Coordinates within a few ulps of a square edge are resolved as if
     they sat exactly on it (left edge closed, right edge open). Without
@@ -469,7 +478,10 @@ def counts(gamma: PointSet, r: float, translate_step: float):
     Raises
     ------
     WindowTooSmall
-        When no translate fits inside the window.
+        When no translate fits in the window; fields ``square_side``, ``window_radius``.
+    ValidationError
+        When ``r`` or ``translate_step`` is not positive, or the step is too
+        fine for its grid of translates.
     """
     r = float(r)
     step = float(translate_step)
@@ -478,15 +490,14 @@ def counts(gamma: PointSet, r: float, translate_step: float):
     w = gamma.window_radius
     tol = 16.0 * np.finfo(np.float64).eps * (1.0 + w + r)
     xspan = _feasible_x_interval(w, r)
+    fields = {"square_side": r, "window_radius": w}
     if xspan is None:
         raise WindowTooSmall(
-            f"no translate of a side-{r:g} square fits in the window disk "
-            f"of radius {w:g}"
+            f"no translate of a side-{r:g} square fits in the window disk of radius {w:g}", **fields
         )
     xlo, xhi = xspan
     order = np.argsort(gamma.points.real, kind="stable")
     xs, ys_by_x = gamma.points.real[order], gamma.points.imag[order]
-
     bx = np.concatenate([xs, xs - r])
     by = _sorted_unique(np.concatenate([ys_by_x, ys_by_x - r]))
 
@@ -497,11 +508,13 @@ def counts(gamma: PointSet, r: float, translate_step: float):
     root = w * w - targets * targets
     rt = np.sqrt(root[root >= 0.0])
     cross = np.concatenate([rt, -rt, -r + rt, -r - rt])
-    grid = np.arange(xlo, xhi, step) if xhi > xlo else np.array([xlo])
+    try:
+        grid = np.arange(xlo, xhi, step) if xhi > xlo else np.array([xlo])
+    except ValueError as exc:  # more translates than an array can index
+        raise ValidationError(f"translate_step {step:g} is too fine", translate_step=step) from exc
 
     xcand = np.concatenate([bx, cross, grid, [xlo, xhi]])
-    xcand = _sorted_unique(np.clip(xcand, xlo, xhi))
-    tx = _with_midpoints(xcand)
+    tx = _with_midpoints(_sorted_unique(np.clip(xcand, xlo, xhi)))
 
     # Feasible t_y interval [-g, g - r] of each candidate t_x.
     edge = np.maximum(np.abs(tx), np.abs(tx + r))
@@ -511,7 +524,7 @@ def counts(gamma: PointSet, r: float, translate_step: float):
     keep = -g <= g - r
     tx, g = tx[keep], g[keep]
     if tx.size == 0:
-        raise WindowTooSmall("feasible translate region is empty")
+        raise WindowTooSmall("feasible translate region is empty", **fields)
     ends = np.stack([-g, g - r], axis=1)
 
     # i0 and i1 are nondecreasing in t_x, so each column is one run.
@@ -523,17 +536,32 @@ def counts(gamma: PointSet, r: float, translate_step: float):
     ev_lo = np.searchsorted(by, -widest, side="left")
     ev_hi = np.searchsorted(by, widest - r, side="right")
 
-    # Top and bottom edge of the square at each t_y candidate, less tol.
-    by_top, by_bot = by + r - tol, by - tol
-    end_top, end_bot = ends + r - tol, ends - tol
+    # Row q of a column's table counts its ranks <= q, its y below v at q = #{y < v}.
+    rank = np.argsort(np.argsort(ys_by_x, kind="stable")) + 1
+    ys = np.sort(ys_by_x)
+    q_ev = np.searchsorted(ys, np.stack([by + r - tol, by - tol]))
+    q_end = np.searchsorted(ys, np.stack([ends + r - tol, ends - tol]))
+    lo, hi = i0[starts], i1[starts]
+    owner = np.repeat(np.arange(starts.size), stops - starts)
+    width = max(1, _COUNT_CELLS // (xs.size + 1 + by.size))
     n_min, n_max = len(gamma), 0
-    for t0, t1, e0, e1 in zip(starts, stops, ev_lo, ev_hi):
-        col = np.sort(ys_by_x[i0[t0] : i1[t0]])
-        at_events = np.searchsorted(col, by_top[e0:e1]) - np.searchsorted(col, by_bot[e0:e1])
-        at_ends = np.searchsorted(col, end_top[t0:t1]) - np.searchsorted(col, end_bot[t0:t1])
-        hits = np.concatenate([at_events, at_ends.ravel()])
-        n_min = min(n_min, int(hits.min()))
-        n_max = max(n_max, int(hits.max()))
+    for c0 in range(0, starts.size, width):
+        c = slice(c0, c0 + width)
+        # A point enters the first column whose hi passes it and leaves the
+        # first whose lo does; the block's first column enters whole.
+        d = np.zeros((xs.size + 1, lo[c].size), dtype=np.int32)
+        j = np.arange(lo[c0], hi[c][-1])
+        d[rank[j], np.searchsorted(hi[c], j, side="right")] = 1
+        j = np.arange(lo[c0], lo[c][-1])
+        d[rank[j], np.searchsorted(lo[c], j, side="right")] -= 1
+        np.cumsum(np.cumsum(d, axis=1, out=d), axis=0, out=d)
+        e0, e1 = ev_lo[c].min(), ev_hi[c].max()
+        e = np.arange(e0, e1)[:, None]
+        at_events = (d[q_ev[0, e0:e1]] - d[q_ev[1, e0:e1]])[(e >= ev_lo[c]) & (e < ev_hi[c])]
+        t = slice(starts[c0], stops[c][-1])
+        at_ends = d[q_end[0, t], owner[t, None] - c0] - d[q_end[1, t], owner[t, None] - c0]
+        n_min = min(n_min, int(at_ends.min()), int(at_events.min(initial=n_min)))
+        n_max = max(n_max, int(at_ends.max()), int(at_events.max(initial=0)))
     return n_min, n_max
 
 
@@ -549,31 +577,18 @@ def density_estimate(gamma: PointSet, radii, translate_step: float) -> DensityRe
     radii = [float(r) for r in radii]
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValidationError("radii must be strictly increasing")
-    n_minus, n_plus, reliable = [], [], []
+    found = {}
     for r in radii:
         try:
-            lo, hi = counts(gamma, r, translate_step)
+            found[r] = counts(gamma, r, translate_step)
         except WindowTooSmall:
-            n_minus.append(0)
-            n_plus.append(0)
-            reliable.append(False)
-            continue
-        n_minus.append(lo)
-        n_plus.append(hi)
-        reliable.append(True)
-    good = [i for i, ok in enumerate(reliable) if ok]
-    if good:
-        tail = good[(2 * len(good)) // 3 :]
-        d_lo = min(n_minus[i] / radii[i] ** 2 for i in tail)
-        d_hi = max(n_plus[i] / radii[i] ** 2 for i in tail)
-    else:
-        d_lo = 0.0
-        d_hi = math.inf
+            pass
+    tail = list(found)[(2 * len(found)) // 3 :]
     return DensityReport(
         radii=tuple(radii),
-        n_minus=tuple(n_minus),
-        n_plus=tuple(n_plus),
-        reliable=tuple(reliable),
-        d_minus_estimate=d_lo,
-        d_plus_estimate=d_hi,
+        n_minus=tuple(found.get(r, (0, 0))[0] for r in radii),
+        n_plus=tuple(found.get(r, (0, 0))[1] for r in radii),
+        reliable=tuple(r in found for r in radii),
+        d_minus_estimate=min((found[r][0] / r**2 for r in tail), default=0.0),
+        d_plus_estimate=max((found[r][1] / r**2 for r in tail), default=math.inf),
     )

@@ -104,7 +104,8 @@ def frame_bounds(gamma: PointSet, alpha: float, N: int, window_radius: float) ->
     Raises
     ------
     WindowTooSmall
-        If the window does not contain the point set.
+        If the window does not contain the point set; fields
+        ``window_radius`` and ``farthest``, the largest point modulus.
     """
     alpha = _check_alpha(alpha)
     N = int(N)
@@ -115,7 +116,9 @@ def frame_bounds(gamma: PointSet, alpha: float, N: int, window_radius: float) ->
     if top > window_radius * (1.0 + 1e-12):
         raise WindowTooSmall(
             f"window radius {window_radius:g} does not contain the point "
-            f"set (farthest point at {top:g})"
+            f"set (farthest point at {top:g})",
+            window_radius=window_radius,
+            farthest=top,
         )
     effective = math.sqrt(N / alpha) + 4.0 / math.sqrt(alpha)
     table = []

@@ -281,6 +281,20 @@ class TestValidationExits:
         assert not out.exists()
         assert error_doc(capsys)["error"] == "ValidationError"
 
+    def test_unbuildable_translate_grid_exits_2(self, tmp_path, capsys):
+        main(["lattice", "--spacing", "1", "--window", "6", "--out", str(tmp_path)])
+        capsys.readouterr()
+        out = tmp_path / "fresh"
+        rc = main(
+            ["density", "--in", str(tmp_path / "points.csv"), "--window", "6",
+             "--translate-step", "1e-300", "--out", str(out)]
+        )
+        assert rc == 2
+        assert not out.exists()
+        doc = error_doc(capsys, "translate_step")
+        assert doc["error"] == "ValidationError"
+        assert doc["translate_step"] == 1e-300
+
     def test_memory_error_exits_2_without_files(self, tmp_path, capsys, monkeypatch):
         def exhausted(args):
             raise MemoryError("Unable to allocate 298. GiB")

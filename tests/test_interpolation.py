@@ -123,6 +123,15 @@ class TestLagrangeReconstruct:
         got = lagrange_reconstruct(gamma, ALPHA, samples, node, 8.0)
         assert got == samples[node]
 
+    @pytest.mark.parametrize("node, offset", [(0, 1e-310), (0, 5e-324), (1, 1e-310j)])
+    def test_subnormal_offset_from_a_node_returns_sample(self, node, offset):
+        # 1/(z - z_i) overflows at these z; the query is node z_i itself
+        gamma = super_lattice()
+        samples = samples_for(gamma, lambda p: 1.0 / (1.0 + abs(p)), 8.0)
+        z_i = complex(node * SUPER_SPACING, 0.0)
+        got = lagrange_reconstruct(gamma, ALPHA, samples, z_i + offset, 8.0)
+        assert got == samples[z_i]
+
     def test_array_matches_scalar(self):
         gamma = super_lattice()
         samples = samples_for(gamma, lambda p: basis_value(1, p), 8.0)
@@ -614,6 +623,20 @@ class TestScaledCauchySeries:
         zs = zs[(zs != basis.nodes) & (np.abs(zs) <= 3.0)]
         assert zs.size >= 1 and np.min(np.abs(zs - basis.nodes[:, None])) > 0.0
         assert_series_agree(basis, coeff_logs, zs)
+
+    @REGIMES
+    @pytest.mark.parametrize("z", [1e-310, 5e-324, 1e-310j])
+    def test_subnormal_offset_is_a_node_hit(self, ratio, z):
+        # |z - 0| is not a normal double, so 1/(z - 0) could overflow; the
+        # series takes z as the origin node, where the oracle's sum agrees.
+        # The oracle cancels logs as large as |log z| < 745 on the way, so
+        # it holds to about 745 ulps.
+        basis, coeff_logs = series_case(ratio, 0.0, 0, 8.0)
+        zs = np.array([z, 0.7 - 1.1j])
+        got = np.exp(basis.series(coeff_logs, zs))
+        want = np.exp(reference_series(basis, coeff_logs, zs))
+        assert got[0] == np.exp(coeff_logs[basis.nodes == 0][0])
+        assert np.max(np.abs(got - want)) <= 2 * 745 * np.finfo(float).eps * np.max(np.abs(want))
 
     @REGIMES
     def test_zeros_beyond_the_nodes_are_exact(self, ratio):

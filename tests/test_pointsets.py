@@ -133,6 +133,62 @@ def reference_counts(gamma, r, translate_step):
     return n_min, n_max
 
 
+
+def column_scan_counts(gamma, r, translate_step):
+    """The column scan ``pointsets.counts`` replaced, kept as its oracle.
+
+    Same candidates as ``counts``; each run of t_x sharing one column of
+    points sorts that column's y and counts at the y-events in the run's
+    widest interval plus every translate's ends with ``searchsorted``.
+    Fast enough for a few thousand points, where ``reference_counts`` is
+    not.
+    """
+    r = float(r)
+    w = gamma.window_radius
+    tol = 16.0 * np.finfo(np.float64).eps * (1.0 + w + r)
+    xspan = pointsets._feasible_x_interval(w, r)
+    if xspan is None:
+        raise errors.WindowTooSmall("no translate fits in the window disk")
+    xlo, xhi = xspan
+    order = np.argsort(gamma.points.real, kind="stable")
+    xs, ys_by_x = gamma.points.real[order], gamma.points.imag[order]
+    bx = np.concatenate([xs, xs - r])
+    by = pointsets._sorted_unique(np.concatenate([ys_by_x, ys_by_x - r]))
+    targets = np.concatenate([by, by + r])
+    root = w * w - targets * targets
+    rt = np.sqrt(root[root >= 0.0])
+    cross = np.concatenate([rt, -rt, -r + rt, -r - rt])
+    grid = np.arange(xlo, xhi, translate_step) if xhi > xlo else np.array([xlo])
+    xcand = np.concatenate([bx, cross, grid, [xlo, xhi]])
+    tx = pointsets._with_midpoints(pointsets._sorted_unique(np.clip(xcand, xlo, xhi)))
+    edge = np.maximum(np.abs(tx), np.abs(tx + r))
+    root = w * w - edge * edge
+    ok = root >= 0.0
+    tx, g = tx[ok], np.sqrt(root[ok])
+    keep = -g <= g - r
+    tx, g = tx[keep], g[keep]
+    if tx.size == 0:
+        raise errors.WindowTooSmall("feasible translate region is empty")
+    ends = np.stack([-g, g - r], axis=1)
+    i0 = np.searchsorted(xs, tx - tol, side="left")
+    i1 = np.searchsorted(xs, tx + r - tol, side="left")
+    starts = np.flatnonzero(np.diff(i0, prepend=-1) | np.diff(i1, prepend=-1))
+    stops = np.append(starts[1:], tx.size)
+    widest = np.maximum.reduceat(g, starts)
+    ev_lo = np.searchsorted(by, -widest, side="left")
+    ev_hi = np.searchsorted(by, widest - r, side="right")
+    by_top, by_bot = by + r - tol, by - tol
+    end_top, end_bot = ends + r - tol, ends - tol
+    n_min, n_max = len(gamma), 0
+    for t0, t1, e0, e1 in zip(starts, stops, ev_lo, ev_hi):
+        col = np.sort(ys_by_x[i0[t0] : i1[t0]])
+        at_events = np.searchsorted(col, by_top[e0:e1]) - np.searchsorted(col, by_bot[e0:e1])
+        at_ends = np.searchsorted(col, end_top[t0:t1]) - np.searchsorted(col, end_bot[t0:t1])
+        hits = np.concatenate([at_events, at_ends.ravel()])
+        n_min = min(n_min, int(hits.min()))
+        n_max = max(n_max, int(hits.max()))
+    return n_min, n_max
+
 @st.composite
 def count_cases(draw):
     """A point set, square side and translate step for ``counts``.
@@ -347,6 +403,24 @@ class TestCounts:
         with pytest.raises(errors.WindowTooSmall):
             pointsets.counts(PointSet([0], 0.1), 1.0, 0.1)
 
+    def test_window_too_small_fields(self):
+        with pytest.raises(errors.WindowTooSmall) as info:
+            pointsets.counts(PointSet([0], 0.1), 1.0, 0.1)
+        assert info.value.fields == {"square_side": 1.0, "window_radius": 0.1}
+
+    def test_empty_region_fields(self, monkeypatch):
+        # a t_x span outside the disk leaves no feasible translate
+        monkeypatch.setattr(pointsets, "_feasible_x_interval", lambda w, r: (2 * w, 2 * w))
+        with pytest.raises(errors.WindowTooSmall, match="empty") as info:
+            pointsets.counts(PointSet([0], 3.0), 1.0, 0.1)
+        assert info.value.fields == {"square_side": 1.0, "window_radius": 3.0}
+
+    @pytest.mark.parametrize("step", [1e-300, 5e-324])
+    def test_unbuildable_grid_names_the_step(self, step):
+        with pytest.raises(errors.ValidationError, match="translate_step") as info:
+            pointsets.counts(pointsets.square_lattice(1.0, 6.0), 2.0, step)
+        assert info.value.fields == {"translate_step": step}
+
     def test_monotone_in_radius(self):
         ps = pointsets.square_lattice(1.0, 25.0)
         prev = -1
@@ -384,6 +458,39 @@ class TestCountsMatchReference:
                 pointsets.counts(gamma, r, step)
             return
         assert pointsets.counts(gamma, r, step) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(count_cases(), st.sampled_from([1, 50, 4000]))
+    def test_small_blocks_change_no_count(self, case, cells):
+        # a budget of one cell puts every column in a block of its own
+        gamma, r, step = case
+        try:
+            want = reference_counts(gamma, r, step)
+        except errors.WindowTooSmall:
+            want = errors.WindowTooSmall
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pointsets, "_COUNT_CELLS", cells)
+            if want is errors.WindowTooSmall:
+                with pytest.raises(errors.WindowTooSmall):
+                    pointsets.counts(gamma, r, step)
+            else:
+                assert pointsets.counts(gamma, r, step) == want
+
+
+class TestCountsMatchColumnScan:
+    def test_supercritical_set(self):
+        # shaped like the density call of the supercritical benchmark workload
+        s = math.sqrt(math.pi / 1.2)
+        lattice = pointsets.scale_lattice_to_density(1.0, 1.2, 20.0)
+        gamma = pointsets.perturb(lattice, 0.2 * s, 5)
+        for r in np.arange(5.0, 12.01, 0.5):
+            got = pointsets.counts(gamma, r, 0.25)
+            assert got == column_scan_counts(gamma, r, 0.25), r
+
+    def test_perturbed_unit_lattice(self):
+        gamma = pointsets.perturb(pointsets.square_lattice(1.0, 30.0), 0.2, 1)
+        assert len(gamma) == 2821
+        assert pointsets.counts(gamma, 5.0, 0.5) == column_scan_counts(gamma, 5.0, 0.5)
 
 
 class TestCountsOnLatticeEdges:

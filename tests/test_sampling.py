@@ -174,6 +174,11 @@ class TestFrameBounds:
         with pytest.raises(WindowTooSmall):
             frame_bounds(gam, 1.0, 8, 5.0)
 
+    def test_window_error_fields(self):
+        with pytest.raises(WindowTooSmall) as info:
+            frame_bounds(square_lattice(1.0, 8.0), 1.0, 8, 5.0)
+        assert info.value.fields == {"window_radius": 5.0, "farthest": 8.0}
+
     def test_estimate_invariant(self):
         with pytest.raises(ValidationError):
             FrameEstimate(
