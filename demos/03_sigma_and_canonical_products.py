@@ -57,11 +57,10 @@ for p in (0.0, 1.0, 1.0j, 3.0 + 2.0j):
 
 # A canonical product generalizes sigma to perturbed zero sets: linear
 # factors use the actual zeros, the quadratic convergence exponents
-# keep the lattice sites. The truncation index (here 25) is the shell
-# up to which the set's own points replace the lattice sites; the
-# product is evaluated for |z| < 26 spacings.
+# keep the lattice sites. Its zeros are the set's points and, beyond
+# the window, the lattice sites; g can be evaluated at any radius.
 gamma = perturb(square_lattice(1.0, 25.0), 0.2, seed=7)
-cp = canonical_product(gamma, lat, 25)
+cp = canonical_product(gamma, lat)
 node = gamma.points[
     np.flatnonzero((gamma.indices[:, 0] == 2) & (gamma.indices[:, 1] == 1))
 ][0]

@@ -20,16 +20,17 @@ Both are evaluated in closed form. For spacing ``s`` the periods are
 summed as a 4-term theta series after the argument is reduced to the
 fundamental cell by the quasi-period law. The product then differs from
 ``sigma * (z - z00)/z`` by a finite product of ratios, one for each
-index of shell ``max(|m|,|n|) <= M`` (the truncation index) where the
-set differs from the lattice. A ratio moves the zero at site ``lambda``
-to the root ``p``: ``(1 - z/p) exp(z/p) / ((1 - z/lambda) exp(z/lambda))``
+index where the set differs from the lattice. A ratio moves the zero at
+site ``lambda`` to the root ``p``:
+``(1 - z/p) exp(z/p) / ((1 - z/lambda) exp(z/lambda))``
 (the quadratic exponents cancel). A lattice site carrying no zero of g
 (a removed interior point, or the site of ``z00``) is the ratio with
 ``p = infinity``, ``1 / ((1 - z/lambda) exp(z/lambda + z^2/(2 lambda^2)))``:
-no constant, and its quadratic exponent kept. Beyond shell M and beyond
-the window the zero set is completed by the lattice itself, which sigma
-already carries. Everything is evaluated in log form, and exact zeros
-stay exact.
+no constant, and its quadratic exponent kept. Beyond the window the
+zero set is completed by the lattice itself, which sigma already
+carries. Every point of the set is taken, so no truncation index cuts
+the zero set. Everything is evaluated in log form, and exact zeros stay
+exact.
 
 The log of a ratio is a polynomial part (the constant ``log(lambda/p)``
 and the exponents, linear and quadratic in z, summed over all ratios
@@ -78,7 +79,6 @@ from .errors import (
     NodeIndexMissing,
     NotUniformlyClose,
     PointNotInSet,
-    TruncationTooSmall,
     ValidationError,
 )
 from .pointsets import PointSet, SquareLattice, nearest_distance, separation
@@ -109,40 +109,24 @@ _TILE_POINTS = 1 << 10
 # Near-field factors multiplied together before one log is taken. Off
 # the lattice site nearest z a displaced factor (p - z)/(lambda - z) is
 # below 2 in modulus, as |p - lambda| < s/2 <= |lambda - z|, and a bare
-# factor lambda/(lambda - z) is below 2 sqrt(2) M, as |lambda| is at most
-# sqrt(2) M s; at that site the factor becomes z - p (below s) or -lambda.
-# So a block of 16 stays below (2 sqrt(2) M)^16 max(1, s). A factor is
-# small only close to its own root, and a double z is never closer to
-# one than an ulp, so a block does not underflow either.
+# factor lambda/(lambda - z) is below 2 W/s + 1 for window radius W, as a
+# bare site lies within W + s/2 of the origin; at that site the factor
+# becomes z - p (below s) or -lambda. So a block of 16 stays below
+# (2 W/s + 1)^16 max(1, s). A factor is small only close to its own
+# root, and a double z is never closer to one than an ulp, so a block
+# does not underflow either.
 _BLOCK = 16
 # cells (points x padded ratios) per near-field chunk: the chunk's block
 # array is then 2.4 MB. At 600 000 cells (9.6 MB) the same arithmetic
-# took about 1.5 times as long on a 20 081-point grid with M = 44. Each
-# row is computed on its own, so the chunk size does not change a value.
+# took about 1.5 times as long on a 20 081-point grid in a window of 20
+# spacings. Each row is computed on its own, so the chunk size does not
+# change a value.
 _CHUNK_CELLS = 150_000
 
 
 def _check_M(M) -> None:
     if M is not None and int(M) < 1:
         raise ValidationError("M must be a positive integer")
-
-
-def _required_M(top: float) -> int:
-    """The truncation index advised for points up to ``top`` spacings out."""
-    return math.ceil(2 * top + 20)
-
-
-def _check_truncation(rho: np.ndarray, M: int) -> None:
-    """Raise if ``rho = |z|/spacing`` reaches the truncation index plus one."""
-    top = float(np.max(rho)) if np.size(rho) else 0.0
-    if top >= M + 1:
-        required = _required_M(top)
-        raise TruncationTooSmall(
-            f"evaluation radius {top:.3g} spacings exceeds the truncation "
-            f"index {M}; increase M to at least {required}",
-            required_M=required,
-            radius_spacings=top,
-        )
 
 
 def _sigma_parts(spacing: float, zs: np.ndarray):
@@ -263,11 +247,10 @@ class CanonicalProduct:
     """Canonical product for a point set near a square lattice.
 
     Use :func:`canonical_product` to build. The product is sigma times
-    ``(z - z00)/z`` times one ratio per index of shell at most
-    ``truncation_index`` where the set differs from the lattice. Ratio
-    ``k`` has its site at ``_sites[k]``; the first ``_roots.size`` ratios
-    move that site's zero to ``_roots[k]``, and the others are sites
-    carrying no zero, roots at infinity. The ``_*_keys`` find a ratio
+    ``(z - z00)/z`` times one ratio per index where the set differs from
+    the lattice. Ratio ``k`` has its site at ``_sites[k]``; the first
+    ``_roots.size`` ratios move that site's zero to ``_roots[k]``, and
+    the others are sites carrying no zero, roots at infinity. The ``_*_keys`` find a ratio
     by its root or site. ``_poly`` holds the constant, linear and
     quadratic coefficients of the polynomial parts summed over every
     ratio; the log parts are taken per tile of query points (see the
@@ -278,7 +261,6 @@ class CanonicalProduct:
     lattice: SquareLattice
     z00: complex
     z00_index: tuple
-    truncation_index: int
     closeness_Q: float
     separation_q: float
     _index_of: dict
@@ -298,13 +280,18 @@ class CanonicalProduct:
     def __repr__(self):
         return (
             f"CanonicalProduct({len(self.gamma)} points, "
-            f"s={self.lattice.spacing:g}, M={self.truncation_index}, "
-            f"Q={self.closeness_Q:g})"
+            f"s={self.lattice.spacing:g}, Q={self.closeness_Q:g})"
         )
 
 
-def canonical_product(gamma: PointSet, lattice: SquareLattice, truncation_index: int) -> CanonicalProduct:
+def canonical_product(
+    gamma: PointSet, lattice: SquareLattice, truncation_index: int | None = None
+) -> CanonicalProduct:
     """Build the canonical product of an indexed point set.
+
+    Every point of the set is a zero of the product. ``truncation_index``
+    is deprecated and ignored; a value below 1 still raises
+    :class:`ValidationError`.
 
     Raises
     ------
@@ -314,9 +301,7 @@ def canonical_product(gamma: PointSet, lattice: SquareLattice, truncation_index:
         If some point strays by spacing/2 or more from its lattice site,
         which would break the index bijection.
     """
-    M = int(truncation_index)
-    if M < 1:
-        raise ValidationError("truncation_index must be a positive integer")
+    _check_M(truncation_index)
     if gamma.indices is None:
         raise NodeIndexMissing("canonical products need a lattice-indexed set")
     s = lattice.spacing
@@ -337,23 +322,22 @@ def canonical_product(gamma: PointSet, lattice: SquareLattice, truncation_index:
     z00_index = (int(gamma.indices[pos, 0]), int(gamma.indices[pos, 1]))
     index_of = {(int(m), int(n)): i for i, (m, n) in enumerate(gamma.indices)}
 
-    # Ratios: displaced points within shell M; then the lattice sites of
-    # the index square that carry no zero of g: interior sites the set
-    # lacks (removed points) and the site of z00, whose zero is the
-    # leading factor. Sites beyond the window's reach stay lattice zeros.
-    shells = np.max(np.abs(gamma.indices), axis=1)
-    inside = shells <= M
-    moved = inside & (gamma.points != sites)
+    # Ratios: the displaced points; then the lattice sites that carry no
+    # zero of g: interior sites the set lacks (removed points) and the
+    # site of z00, whose zero is the leading factor. The scanned index
+    # square holds every point's index and every site within the window's
+    # reach; sites beyond that reach stay lattice zeros.
+    moved = gamma.points != sites
     moved[pos] = False
-    side = np.arange(-M, M + 1, dtype=np.int64)
+    K = max(int(np.max(np.abs(gamma.indices))), math.floor(gamma.window_radius / s))
+    side = np.arange(-K, K + 1, dtype=np.int64)
     mm, nn = np.meshgrid(side, side)
     lambdas = s * (mm.astype(np.float64) + 1j * nn.astype(np.float64))
     bare = np.abs(lambdas) <= gamma.window_radius - s / 2
-    bare[gamma.indices[inside, 1] + M, gamma.indices[inside, 0] + M] = False
+    bare[gamma.indices[:, 1] + K, gamma.indices[:, 0] + K] = False
     m0, n0 = z00_index
-    if max(abs(m0), abs(n0)) <= M:
-        bare[n0 + M, m0 + M] = True
-    bare[M, M] = False  # the origin's zero is divided out by (z - z00)/z
+    bare[n0 + K, m0 + K] = True
+    bare[K, K] = False  # the origin's zero is divided out by (z - z00)/z
 
     roots = gamma.points[moved]
     moved_sites = sites[moved]
@@ -372,7 +356,6 @@ def canonical_product(gamma: PointSet, lattice: SquareLattice, truncation_index:
         lattice=lattice,
         z00=z00,
         z00_index=z00_index,
-        truncation_index=M,
         closeness_Q=q_max,
         separation_q=sep,
         _index_of=index_of,
@@ -513,7 +496,6 @@ def _gfun_log_many(cp: CanonicalProduct, zs: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(zs)):
         raise ValidationError("query points must be finite")
     s = cp.lattice.spacing
-    _check_truncation(np.abs(zs) / s, cp.truncation_index)
     out = np.empty(zs.shape, dtype=np.complex128)
     every = np.arange(cp._sites.size)
     for idx, centre, half in _tiles(zs):
@@ -539,11 +521,6 @@ def gfun_log(cp: CanonicalProduct, z: complex) -> LogComplex:
 
     Exact zeros (log_mag = -inf) at the set's points and at the
     lattice sites completing the zero set.
-
-    Raises
-    ------
-    TruncationTooSmall
-        If ``|z|`` reaches ``truncation_index + 1`` spacings.
     """
     val = complex(_gfun_log_many(cp, np.array([complex(z)]))[0])
     if val.real == -math.inf or math.isnan(val.imag):
@@ -565,24 +542,13 @@ def _node_derivative_logs(cp: CanonicalProduct, indices) -> np.ndarray:
     ------
     PointNotInSet
         If an index does not belong to the point set.
-    TruncationTooSmall
-        If a node lies outside the truncation square.
     """
-    M = cp.truncation_index
     pos = []
     for m, n in np.asarray(indices, dtype=np.int64).reshape(-1, 2).tolist():
         if (m, n) not in cp._index_of:
             raise PointNotInSet(f"index ({m}, {n}) is not in the point set")
-        if max(abs(m), abs(n)) > M:
-            top = abs(cp.node_at(m, n)) / cp.lattice.spacing
-            raise TruncationTooSmall(
-                f"node index ({m}, {n}) lies outside the truncation square M={M}",
-                required_M=_required_M(top),
-                radius_spacings=top,
-            )
         pos.append(cp._index_of[(m, n)])
     zq = cp.gamma.points[pos]
-    _check_truncation(np.abs(zq) / cp.lattice.spacing, M)
     total = _near_log(cp, zq, np.arange(cp._sites.size))[0]
     return total.real + 1j * reduce_phase(total.imag)
 

@@ -323,6 +323,7 @@ def _cmd_sigma_grid(args):
 
 def _cmd_growth_check(args):
     gamma, spacing = _built_set(args)
+    # M only fills the report's truncation_index field; the product ignores it
     M = int(math.ceil(2.0 * args.grid_radius / spacing)) + 20
     cp = canonical_product(gamma, SquareLattice(spacing), M)
     fit = growth_check(cp, args.alpha, args.grid_radius, args.grid_step)

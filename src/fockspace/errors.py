@@ -65,17 +65,6 @@ class WindowTooSmall(ValidationError):
     """No translate of the scanned square fits inside the window."""
 
 
-class TruncationTooSmall(NumericalDiagnosticError):
-    """A point lies beyond the truncation square of a canonical product.
-
-    The product takes the set's points only up to shell M and completes
-    the zero set with the lattice beyond it, so it is evaluated only for
-    ``|z| < (M + 1) * spacing``. ``required_M`` is a truncation index
-    that covers the request and ``radius_spacings`` the radius it
-    reached, in spacings.
-    """
-
-
 class NodeIndexMissing(ValidationError):
     """Point set lacks the lattice index required by this operation."""
 

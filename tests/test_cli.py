@@ -13,6 +13,7 @@ import pytest
 from fockspace import cli, square_lattice
 from fockspace.cli import main
 from fockspace.io import dumps_json, problem_doc
+from fockspace.space import MAX_EXP
 
 ALPHA = 1.0
 SUPER_SPACING = math.sqrt(math.pi / 1.5)
@@ -611,24 +612,22 @@ class TestInterpolate:
                 str(interp_problem),
                 "--truncation-radius",
                 "8",
-                "--grid=100,100,0,0,1",
+                "--grid=50,50,0,0,1",
                 "--out",
                 str(out),
             ]
         )
         assert rc == 3
         assert not out.exists()
-        doc = error_doc(capsys, "required_M", "radius_spacings")
-        assert doc["error"] == "TruncationTooSmall"
-        # the grid point 100 lies 100/s spacings out, past the truncation
-        # index ceil(4 * 8 / s) + 20 the interpolant chose
-        radius = 100.0 / SUB_SPACING
-        assert doc["radius_spacings"] == radius
-        assert doc["required_M"] == math.ceil(2 * radius + 20)
+        # the plain value at 50 is about exp(alpha 50^2 / 2) times the
+        # weighted one, past a double
+        doc = error_doc(capsys, "log_mag", "radius")
+        assert doc["error"] == "Overflow"
+        assert doc["radius"] == 50.0
+        assert doc["log_mag"] >= MAX_EXP
         assert doc["message"] == (
-            f"evaluation radius {radius:.3g} spacings exceeds the truncation "
-            f"index {math.ceil(32 / SUB_SPACING) + 20}; increase M to at least "
-            f"{math.ceil(2 * radius + 20)}"
+            f"interpolant log modulus {doc['log_mag']:.6g} at |z| = 50 "
+            f"exceeds the safe exponent {MAX_EXP:g}"
         )
 
 

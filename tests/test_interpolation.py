@@ -14,8 +14,8 @@ from fockspace.errors import (
     DensityOrderViolated,
     MissingSamples,
     NodeIndexMissing,
+    Overflow,
     QuadratureOrderTooLow,
-    TruncationTooSmall,
     ValidationError,
 )
 from fockspace.interpolation import (
@@ -26,7 +26,7 @@ from fockspace.interpolation import (
     residual_check,
 )
 from fockspace.pointsets import PointSet, perturb, scale_lattice_to_density, square_lattice
-from fockspace.space import _combine_term_logs, _log
+from fockspace.space import MAX_EXP, _combine_term_logs, _log
 
 ALPHA = 1.0
 SUPER_SPACING = math.sqrt(math.pi / 1.5)
@@ -351,11 +351,18 @@ class TestBuildInterpolant:
         with pytest.raises(MissingSamples):
             build_interpolant(prob, 8.0)
 
-    def test_truncation_diagnostic_far_from_radius(self):
+    def test_plain_value_overflow_far_from_radius(self):
+        # 90 out, f is about exp(alpha 90^2 / 2) times its weighted value:
+        # the plain value raises, the weighted one stays finite
         prob = sub_problem(6.0)
         ev = build_interpolant(prob, 6.0)
-        with pytest.raises(TruncationTooSmall):
+        with pytest.raises(Overflow) as info:
+            ev.eval(np.array([1.0, 90.0 + 0j]))
+        assert info.value.fields == {"log_mag": info.value.log_mag, "radius": 90.0}
+        assert info.value.log_mag >= MAX_EXP
+        with pytest.raises(Overflow):
             ev.eval(90.0 + 0j)
+        assert np.isfinite(ev.eval_weighted(90.0 + 0j))
 
     def test_with_data_matches_fresh_build(self):
         prob_a = sub_problem(7.0, seed=11)
@@ -586,8 +593,7 @@ def series_case(ratio, shift, seed, radius):
         return ev._basis, _log(ev._targets) + 0.5 * ALPHA * np.abs(ev._basis.nodes) ** 2
     fitted = interpolation._fitted_spacing(gamma)
     inside = np.abs(gamma.points) <= radius
-    M = int(math.ceil(2.0 * radius / fitted)) + 20
-    basis = interpolation._LagrangeBasis.of(gamma, fitted, M, gamma.points[inside], gamma.indices[inside], 0.0)
+    basis = interpolation._LagrangeBasis.of(gamma, fitted, gamma.points[inside], gamma.indices[inside], 0.0)
     return basis, _log(kernel_combo(basis.nodes))
 
 
