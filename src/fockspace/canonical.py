@@ -66,6 +66,13 @@ vanishes at a point (a root equal to z, or a ratio whose site is the
 lattice site nearest z) is found by lookup in sorted arrays, not by
 comparing every (point, ratio) pair. Both lie within ``h + s/2`` of the
 centre, so they are always near.
+
+The factors, numerators and halved products of all chunks of a call
+share one workspace, allocated once at the size of the largest chunk,
+not fresh arrays that the allocator returns to the system and the
+kernel faults in again chunk after chunk. Each output keeps the layout
+a fresh array had, since numpy's complex rounding depends on it:
+halving in place into a strided view changes last bits.
 """
 
 from __future__ import annotations
@@ -116,11 +123,13 @@ _TILE_POINTS = 1 << 10
 # root, and a double z is never closer to one than an ulp, so a block
 # does not underflow either.
 _BLOCK = 16
-# cells (points x padded ratios) per near-field chunk: the chunk's block
-# array is then 2.4 MB. At 600 000 cells (9.6 MB) the same arithmetic
-# took about 1.5 times as long on a 20 081-point grid in a window of 20
-# spacings. Each row is computed on its own, so the chunk size does not
-# change a value.
+# cells (points x padded ratios) per near-field chunk: the chunk's factor
+# array is then 2.4 MB, and a call's workspace at most twice that. That
+# 600 000 cells (9.6 MB) took about 1.5 times as long, on a 20 081-point
+# grid in a window of 20 spacings, was measured when every chunk
+# allocated fresh temporaries, which the kernel page-faulted back in
+# chunk after chunk; with one workspace per call it is unmeasured. Each
+# row is computed on its own, so the chunk size does not change a value.
 _CHUNK_CELLS = 150_000
 
 
@@ -299,7 +308,8 @@ def canonical_product(
         If the point set has no lattice indices.
     NotUniformlyClose
         If some point strays by spacing/2 or more from its lattice site,
-        which would break the index bijection.
+        which would break the index bijection; fields ``closeness`` (the
+        largest stray) and ``spacing``.
     """
     _check_M(truncation_index)
     if gamma.indices is None:
@@ -310,7 +320,9 @@ def canonical_product(
     q_max = float(np.max(disp))
     if q_max >= s / 2:
         raise NotUniformlyClose(
-            f"closeness {q_max:g} is not below spacing/2 = {s / 2:g}"
+            f"closeness {q_max:g} is not below spacing/2 = {s / 2:g}",
+            closeness=q_max,
+            spacing=s,
         )
     sep = separation(gamma) if len(gamma) >= 2 else math.inf
 
@@ -367,17 +379,21 @@ def canonical_product(
     )
 
 
-def _block_log(x: np.ndarray) -> np.ndarray:
+def _block_log(x: np.ndarray, spare: np.ndarray) -> np.ndarray:
     """Per row, the sum over blocks of ``_BLOCK`` columns of the log of
     the block's product; the phase is right modulo 2 pi only.
 
     The blocks are multiplied out by halving, which runs faster than
-    ``np.prod`` along the axis.
+    ``np.prod`` along the axis. Each half is written C-contiguous into
+    ``spare`` (``x.size`` cells), into its two halves in turn.
     """
-    width = _BLOCK
+    halves = (spare[: x.size // 2], spare[x.size // 2 : x.size])
+    width, turn = _BLOCK, 0
     while width > 1:
-        x = x[:, 0::2] * x[:, 1::2]
+        out = halves[turn][: x.size // 2].reshape(x.shape[0], x.shape[1] // 2)
+        x = np.multiply(x[:, 0::2], x[:, 1::2], out=out)
         width //= 2
+        turn ^= 1
     return np.sum(np.log(np.abs(x)), axis=1) + 1j * np.sum(np.angle(x), axis=1)
 
 
@@ -386,18 +402,19 @@ def _padded(n: int) -> int:
     return -(-n // _BLOCK) * _BLOCK
 
 
-def _blocks(rows: int, n: int) -> np.ndarray:
-    """Uninitialized ``rows x n`` factors, padded with ones to whole blocks."""
-    out = np.empty((rows, _padded(n)), dtype=np.complex128)
-    out[:, n:] = 1.0
-    return out
+def _work_cells(rows: int, n: int) -> int:
+    """Cells of :func:`_near_log`'s workspace for ``rows`` points and ``n``
+    near ratios: the factor array, then the numerator or the halvings."""
+    return 2 * rows * _padded(n)
 
 
-def _near_log(cp: CanonicalProduct, zs: np.ndarray, ratios: np.ndarray):
+def _near_log(cp: CanonicalProduct, zs: np.ndarray, ratios: np.ndarray, work: np.ndarray):
     """Log of sigma * (z - z00)/z * the polynomial parts of every ratio
     * the log parts of the ``ratios`` (an ascending index array into
     ``_sites``), and zero flags.
 
+    ``work`` is a complex scratch array of at least :func:`_work_cells`
+    cells; nothing in it is read before it is written.
     Where a linear factor vanishes its derivative stands in for it, so
     at a zero of g the value is log g'(z). Where a ratio's site (or the
     origin, under ``1/z``) is the lattice site nearest z, the ratio's
@@ -415,20 +432,24 @@ def _near_log(cp: CanonicalProduct, zs: np.ndarray, ratios: np.ndarray):
     if ratios.size:
         # lambda - z, padded with ones to whole blocks, then divided into
         # p - z for a displaced ratio and into lambda for a bare one
-        fac = _blocks(zs.size, ratios.size)
+        width = _padded(ratios.size)
+        cells = zs.size * width
+        fac = work[:cells].reshape(zs.size, width)
+        fac[:, ratios.size :] = 1.0
         den = fac[:, : ratios.size]
         np.subtract(cp._sites[ratios], zs[:, None], out=den)
         rows, cols = cp._site_keys.find(site, ratios)
         den[rows, cols] = -1.0
         divided[rows] = True
         k = int(np.searchsorted(ratios, cp._roots.size))
-        num = cp._roots[ratios[:k]] - zs[:, None]
+        num = work[cells : cells + zs.size * k].reshape(zs.size, k)
+        np.subtract(cp._roots[ratios[:k]], zs[:, None], out=num)
         rows, cols = cp._root_keys.find(zs, ratios[:k])
         num[rows, cols] = -1.0
         zero[rows] = True
         np.divide(num, den[:, :k], out=den[:, :k])
         np.divide(cp._sites[ratios[k:]], den[:, k:], out=den[:, k:])
-        total = total + _block_log(fac)
+        total = total + _block_log(fac, work[cells:])
     c0, c1, c2 = cp._poly
     total = total + (c0 + zs * (c1 + zs * c2))
     zero |= (w == 0) & ~divided
@@ -496,8 +517,8 @@ def _gfun_log_many(cp: CanonicalProduct, zs: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(zs)):
         raise ValidationError("query points must be finite")
     s = cp.lattice.spacing
-    out = np.empty(zs.shape, dtype=np.complex128)
     every = np.arange(cp._sites.size)
+    plan = []
     for idx, centre, half in _tiles(zs):
         ratios, series = every, None
         if idx.size >= _SERIES_ORDER:
@@ -506,10 +527,16 @@ def _gfun_log_many(cp: CanonicalProduct, zs: np.ndarray) -> np.ndarray:
             if not close.all():
                 series = _far_series(cp, centre, np.flatnonzero(~close))
         chunk = max(1, _CHUNK_CELLS // max(_padded(ratios.size), 1))
+        plan.append((idx, centre, ratios, series, chunk))
+    # one scratch array for every chunk of the call, sized to its largest
+    cells = [_work_cells(min(chunk, idx.size), ratios.size) for idx, _, ratios, _, chunk in plan]
+    work = np.empty(max(cells, default=0), dtype=np.complex128)
+    out = np.empty(zs.shape, dtype=np.complex128)
+    for idx, centre, ratios, series, chunk in plan:
         for start in range(0, idx.size, chunk):
             sub = idx[start : start + chunk]
             part = zs[sub]
-            near, zero = _near_log(cp, part, ratios)
+            near, zero = _near_log(cp, part, ratios, work)
             if series is not None:
                 near = near + np.polyval(series, part - centre)
             out[sub] = np.where(zero, -np.inf, near)
@@ -549,7 +576,9 @@ def _node_derivative_logs(cp: CanonicalProduct, indices) -> np.ndarray:
             raise PointNotInSet(f"index ({m}, {n}) is not in the point set")
         pos.append(cp._index_of[(m, n)])
     zq = cp.gamma.points[pos]
-    total = _near_log(cp, zq, np.arange(cp._sites.size))[0]
+    every = np.arange(cp._sites.size)
+    work = np.empty(_work_cells(zq.size, every.size), dtype=np.complex128)
+    total = _near_log(cp, zq, every, work)[0]
     return total.real + 1j * reduce_phase(total.imag)
 
 

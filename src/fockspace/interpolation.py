@@ -187,6 +187,27 @@ class _LagrangeBasis:
         return out
 
 
+def _checked_exp(logs: np.ndarray, zs: np.ndarray, what: str) -> np.ndarray:
+    """``exp(logs)``, the plain values of ``what`` at the points ``zs``.
+
+    Raises
+    ------
+    Overflow
+        If some log modulus reaches ``MAX_EXP``; fields ``log_mag`` (the
+        largest) and ``radius`` (its ``|z|``).
+    """
+    if np.any(logs.real >= MAX_EXP):
+        top = int(np.nanargmax(logs.real))
+        log_mag, radius = float(logs.real[top]), float(abs(zs[top]))
+        raise Overflow(
+            f"{what} log modulus {log_mag:.6g} at |z| = {radius:.6g} "
+            f"exceeds the safe exponent {MAX_EXP:g}",
+            log_mag=log_mag,
+            radius=radius,
+        )
+    return np.exp(logs)
+
+
 def lagrange_reconstruct(gamma: PointSet, alpha: float, samples: dict, z, truncation_radius: float):
     """Recover f(z) from its plain samples on a supercritical set.
 
@@ -210,6 +231,9 @@ def lagrange_reconstruct(gamma: PointSet, alpha: float, samples: dict, z, trunca
         (including the critical case beta = alpha).
     MissingSamples
         If some point within the truncation radius has no sample.
+    Overflow
+        As :func:`_checked_exp`, where the value off a sampled point
+        passes the double range.
     ValidationError
         If no point of the set lies within the truncation radius, so
         the series would have no term.
@@ -235,13 +259,15 @@ def lagrange_reconstruct(gamma: PointSet, alpha: float, samples: dict, z, trunca
         )
 
     basis = _LagrangeBasis.of(gamma, spacing, nodes, node_indices, 0.0)
-    out = np.exp(basis.series(_log(values), flat))
+    logs = basis.series(_log(values), flat)
 
     # direct return of the sample at an exact sample point, found by a
     # sorted search (np.isin imports numpy.ma on first use) that ends in
-    # a NaN no query equals
+    # a NaN no query equals; a huge sample there is no overflow
     sorted_nodes = np.append(np.sort(nodes), np.nan)
     hit = sorted_nodes[np.searchsorted(sorted_nodes, flat)] == flat
+    logs[hit] = 0.0
+    out = _checked_exp(logs, flat, "reconstruction")
     out[hit] = [samples[complex(p)] for p in flat[hit]]
     out = out.reshape(zs.shape)
     return complex(out[()]) if zs.ndim == 0 else out
@@ -307,22 +333,12 @@ class InterpolantEvaluator:
         Raises
         ------
         Overflow
-            If some value's log modulus reaches ``MAX_EXP``; fields
-            ``log_mag`` (the largest) and ``radius`` (its ``|z|``).
+            As :func:`_checked_exp`.
         """
         zs = np.asarray(z, dtype=np.complex128)
         flat = zs.ravel()
-        logs = self._series(flat) - weight * _sq(flat)
-        if np.any(logs.real >= MAX_EXP):
-            top = int(np.nanargmax(logs.real))
-            log_mag, radius = float(logs.real[top]), float(abs(flat[top]))
-            raise Overflow(
-                f"interpolant log modulus {log_mag:.6g} at |z| = {radius:.6g} "
-                f"exceeds the safe exponent {MAX_EXP:g}",
-                log_mag=log_mag,
-                radius=radius,
-            )
-        out = np.exp(logs).reshape(zs.shape)
+        out = _checked_exp(self._series(flat) - weight * _sq(flat), flat, "interpolant")
+        out = out.reshape(zs.shape)
         return complex(out[()]) if zs.ndim == 0 else out
 
     def with_data(self, data: dict) -> "InterpolantEvaluator":

@@ -410,16 +410,21 @@ def closeness(gamma: PointSet, lattice: SquareLattice):
     Raises
     ------
     NotUniformlyClose
-        If two points round to the same lattice index.
+        If two points round to the same lattice index; fields
+        ``spacing`` and ``index``, the first such ``[m, n]`` in
+        lexicographic order.
     """
     s = lattice.spacing
     m = np.rint(gamma.points.real / s).astype(np.int64)
     n = np.rint(gamma.points.imag / s).astype(np.int64)
     matching = np.column_stack([m, n])
     if _has_repeats(matching):
+        indices, counts = np.unique(matching, axis=0, return_counts=True)
         raise NotUniformlyClose(
             "two points round to the same lattice index; the set is not "
-            f"uniformly close to the spacing-{s:g} lattice"
+            f"uniformly close to the spacing-{s:g} lattice",
+            spacing=s,
+            index=indices[np.argmax(counts > 1)].tolist(),
         )
     q_max = float(np.max(np.abs(gamma.points - s * (m + 1j * n))))
     return q_max, matching

@@ -382,6 +382,137 @@ def test_near_field_chunks_do_not_change_a_bit(monkeypatch):
     np.testing.assert_array_equal(_gfun_log_many(cp, zs), whole)
 
 
+def allocating_near_log(cp, zs, ratios):
+    """The near-field kernel as it was before it wrote into a workspace:
+    fresh factor, numerator and halving arrays for every call."""
+    site, w, total = _sigma_parts(cp.lattice.spacing, zs)
+    divided = np.zeros(zs.shape, dtype=bool)
+    zero = np.zeros(zs.shape, dtype=bool)
+    if cp.z00 != 0:
+        lead = zs - cp.z00
+        divided |= site == 0
+        zero |= lead == 0
+        total = total + np.log(np.where(lead == 0, 1.0, lead)) - np.log(np.where(divided, 1.0, zs))
+    if ratios.size:
+        width = -(-ratios.size // canonical._BLOCK) * canonical._BLOCK
+        fac = np.empty((zs.size, width), dtype=complex)
+        fac[:, ratios.size :] = 1.0
+        den = fac[:, : ratios.size]
+        np.subtract(cp._sites[ratios], zs[:, None], out=den)
+        rows, cols = cp._site_keys.find(site, ratios)
+        den[rows, cols] = -1.0
+        divided[rows] = True
+        k = int(np.searchsorted(ratios, cp._roots.size))
+        num = cp._roots[ratios[:k]] - zs[:, None]
+        rows, cols = cp._root_keys.find(zs, ratios[:k])
+        num[rows, cols] = -1.0
+        zero[rows] = True
+        np.divide(num, den[:, :k], out=den[:, :k])
+        np.divide(cp._sites[ratios[k:]], den[:, k:], out=den[:, k:])
+        x, width = fac, canonical._BLOCK
+        while width > 1:
+            x = x[:, 0::2] * x[:, 1::2]
+            width //= 2
+        total = total + (np.sum(np.log(np.abs(x)), axis=1) + 1j * np.sum(np.angle(x), axis=1))
+    c0, c1, c2 = cp._poly
+    total = total + (c0 + zs * (c1 + zs * c2))
+    zero |= (w == 0) & ~divided
+    return total + np.log(np.where(divided | (w == 0), 1.0, w)), zero
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def allocating_gfun(monkeypatch, cp, zs):
+    """``_gfun_log_many`` with the allocating near-field kernel."""
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            canonical, "_near_log", lambda cp, zs, ratios, work: allocating_near_log(cp, zs, ratios)
+        )
+        return _gfun_log_many(cp, zs)
+
+
+class TestWorkspaceKernelOracle:
+    """The near field written into one workspace per call against the
+    allocating kernel: bit for bit, since numpy's complex rounding
+    depends on the layout of an output array."""
+
+    @staticmethod
+    def _case(kind, s):
+        gam = _oracle_set(kind, s, 0.24 if kind == "translated" else 0.4, 11)
+        cp = canonical_product(gam, SquareLattice(s))
+        rng = np.random.default_rng(11)
+        opens = s * (rng.uniform(-6, 6, 40) + 1j * rng.uniform(-6, 6, 40))
+        zs = np.concatenate([cp._roots, cp._sites, gam.points, [0.0], opens]).astype(complex)
+        return cp, zs, rng
+
+    @pytest.mark.parametrize("s", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("kind", ["perturbed", "removed", "translated"])
+    def test_kernel_matches_allocating_kernel(self, kind, s):
+        cp, zs, rng = self._case(kind, s)
+        every = np.arange(cp._sites.size)
+        some = np.flatnonzero(rng.random(every.size) < 0.4)
+        for ratios in (every, some, every[:0]):
+            work = np.full(canonical._work_cells(zs.size, ratios.size), complex(np.nan, np.nan))
+            near, zero = canonical._near_log(cp, zs, ratios, work)
+            want_near, want_zero = allocating_near_log(cp, zs, ratios)
+            assert_same_bits(near, want_near)
+            assert np.array_equal(zero, want_zero)
+
+    @pytest.mark.parametrize("s", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("kind", ["perturbed", "removed", "translated"])
+    def test_tiled_product_matches_allocating_kernel(self, monkeypatch, kind, s):
+        cp, zs, _ = self._case(kind, s)
+        axis = 0.07 * s * np.arange(-60, 61)
+        grid = (axis[None, :] + 1j * axis[:, None]).ravel()
+        zs = np.concatenate([grid, zs])
+        assert any(idx.size >= canonical._SERIES_ORDER for idx, _, _ in _tiles(zs))
+        assert_same_bits(_gfun_log_many(cp, zs), allocating_gfun(monkeypatch, cp, zs))
+        want = allocating_near_log(cp, cp.gamma.points, np.arange(cp._sites.size))[0]
+        want = want.real + 1j * reduce_phase(want.imag)
+        assert_same_bits(_node_derivative_logs(cp, cp.gamma.indices), want)
+
+    def test_widths_that_shrink_then_grow(self, monkeypatch):
+        # one workspace for a run of kernel calls whose near widths and
+        # row counts shrink and then grow: a stale padding column or a
+        # leftover row of an earlier call would change a bit
+        cp, zs, rng = self._case("removed", 1.0)
+        every = np.arange(cp._sites.size)
+        widths = [every.size, 40, 17, 16, 1, 3, 33, every.size]
+        rows = [zs.size, 90, 7, 60, 1, 30, zs.size, 5]
+        runs = [
+            (zs[:r], np.sort(rng.choice(every, w, replace=False))) for r, w in zip(rows, widths)
+        ]
+        cells = max(canonical._work_cells(q.size, ratios.size) for q, ratios in runs)
+        work = np.full(cells, complex(np.nan, np.nan))
+        for q, ratios in runs:
+            near, zero = canonical._near_log(cp, q, ratios, work)
+            want_near, want_zero = allocating_near_log(cp, q, ratios)
+            assert_same_bits(near, want_near)
+            assert np.array_equal(zero, want_zero)
+        # and a run of tiled calls: a dense grid (narrow near fields), a
+        # sparse one (every ratio near), then the dense one again, in
+        # chunks of a few rows so that a tile's last chunk is short
+        monkeypatch.setattr(canonical, "_CHUNK_CELLS", 1000)
+        dense = (0.03 * np.arange(-30, 31)[None, :] + 0.03j * np.arange(-30, 31)[:, None]).ravel()
+        for q in (dense, dense[::7] * 8.0, zs, dense + 0.5):
+            assert_same_bits(_gfun_log_many(cp, q), allocating_gfun(monkeypatch, cp, q))
+
+    def test_interleaved_products_keep_no_state(self):
+        # two products evaluated in turn equal each evaluated alone
+        a, za, _ = self._case("removed", 1.0)
+        b, zb, _ = self._case("translated", 1e3)
+        alone = [_gfun_log_many(a, za), _node_derivative_logs(a, a.gamma.indices)]
+        alone_b = [_gfun_log_many(b, zb), _node_derivative_logs(b, b.gamma.indices)]
+        for _ in range(2):
+            assert_same_bits(_gfun_log_many(a, za), alone[0])
+            assert_same_bits(_gfun_log_many(b, zb), alone_b[0])
+            assert_same_bits(_node_derivative_logs(a, a.gamma.indices), alone[1])
+            assert_same_bits(_node_derivative_logs(b, b.gamma.indices), alone_b[1])
+
+
 class TestSigma:
     def test_exact_zero_on_lattice(self):
         lat = SquareLattice(1.0)
@@ -517,8 +648,12 @@ class TestCanonicalProductBuild:
         pts = gam.points.copy()
         pts[5] += 0.6
         bad = PointSet(pts, 7.0, indices=gam.indices)
-        with pytest.raises(NotUniformlyClose):
+        with pytest.raises(NotUniformlyClose) as info:
             canonical_product(bad, SquareLattice(1.0), 20)
+        assert set(info.value.fields) == {"closeness", "spacing"}
+        assert info.value.closeness == abs(pts[5] - gam.points[5])
+        assert info.value.closeness == pytest.approx(0.6, abs=1e-15)
+        assert info.value.spacing == 1.0
 
     def test_validates_truncation_index(self):
         gam = square_lattice(1.0, 4.0)

@@ -469,6 +469,37 @@ class TestReconstruct:
             grids.append((out / "recon_grid.csv").read_bytes())
         assert grids[0] == grids[1]
 
+    def test_overflow_exits_3_without_files(self, tmp_path, capsys):
+        # samples of alternating sign by index parity, just below the
+        # largest double: the value between nodes passes the double range
+        problem = write_problem(
+            tmp_path / "huge.json",
+            SUPER_SPACING,
+            8.0,
+            lambda z: 1.7e308 * (-1.0) ** round(z.real / SUPER_SPACING + z.imag / SUPER_SPACING),
+        )
+        x = 0.5 * SUPER_SPACING
+        out = tmp_path / "fresh"
+        rc = main(
+            [
+                "reconstruct",
+                "--in",
+                str(problem),
+                "--truncation-radius",
+                "8",
+                f"--grid={x!r},{x!r},{x!r},{x!r},1",
+                "--out",
+                str(out),
+            ]
+        )
+        assert rc == 3
+        assert not out.exists()
+        doc = error_doc(capsys, "log_mag", "radius")
+        assert doc["error"] == "Overflow"
+        assert doc["radius"] == abs(complex(x, x))
+        assert doc["log_mag"] >= MAX_EXP
+        assert doc["message"].startswith("reconstruction log modulus ")
+
     def test_grid_clipped_to_interior(self, tmp_path, recon_problem):
         rc = main(
             [

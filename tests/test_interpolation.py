@@ -132,6 +132,24 @@ class TestLagrangeReconstruct:
         got = lagrange_reconstruct(gamma, ALPHA, samples, z_i + offset, 8.0)
         assert got == samples[z_i]
 
+    def test_plain_value_overflow_off_the_nodes(self):
+        # samples of alternating sign just below the largest double: the
+        # series off a node passes the double range, while at a node the
+        # sample itself comes back
+        gamma = scale_lattice_to_density(ALPHA, 1.5, 8.0)
+        samples = {
+            complex(p): 1.7e308 * (-1.0) ** int(m + n)
+            for p, (m, n) in zip(gamma.points, gamma.indices)
+        }
+        z = 0.5 * SUPER_SPACING * (1 + 1j)
+        with pytest.raises(Overflow) as info:
+            lagrange_reconstruct(gamma, ALPHA, samples, z, 8.0)
+        assert set(info.value.fields) == {"log_mag", "radius"}
+        assert info.value.log_mag >= MAX_EXP
+        assert info.value.radius == abs(z)
+        node = complex(gamma.points[np.argmin(np.abs(gamma.points - SUPER_SPACING))])
+        assert lagrange_reconstruct(gamma, ALPHA, samples, node, 8.0) == samples[node]
+
     def test_array_matches_scalar(self):
         gamma = super_lattice()
         samples = samples_for(gamma, lambda p: basis_value(1, p), 8.0)

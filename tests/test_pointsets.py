@@ -382,8 +382,15 @@ class TestCloseness:
 
     def test_collision_detected(self):
         ps = PointSet([0.2, 0.3], 1.0)
-        with pytest.raises(errors.NotUniformlyClose):
+        with pytest.raises(errors.NotUniformlyClose) as info:
             pointsets.closeness(ps, SquareLattice(1.0))
+        assert info.value.fields == {"spacing": 1.0, "index": [0, 0]}
+        # two collisions: the field names the lexicographically first,
+        # not the first in point order
+        ps = PointSet([2.1 + 0.2j, 1.9 - 0.3j, 0.2 - 2.1j, -0.3 - 1.9j], 3.0)
+        with pytest.raises(errors.NotUniformlyClose) as info:
+            pointsets.closeness(ps, SquareLattice(2.0))
+        assert info.value.fields == {"spacing": 2.0, "index": [0, -1]}
 
 
 class TestCounts:
