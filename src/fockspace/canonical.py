@@ -568,12 +568,13 @@ def _node_derivative_logs(cp: CanonicalProduct, indices) -> np.ndarray:
     Raises
     ------
     PointNotInSet
-        If an index does not belong to the point set.
+        If an index does not belong to the point set; field ``index``,
+        that ``[m, n]``.
     """
     pos = []
     for m, n in np.asarray(indices, dtype=np.int64).reshape(-1, 2).tolist():
         if (m, n) not in cp._index_of:
-            raise PointNotInSet(f"index ({m}, {n}) is not in the point set")
+            raise PointNotInSet(f"index ({m}, {n}) is not in the point set", index=[m, n])
         pos.append(cp._index_of[(m, n)])
     zq = cp.gamma.points[pos]
     every = np.arange(cp._sites.size)

@@ -38,6 +38,7 @@ from .interpolation import (
 )
 from .io import (
     density_report_to_doc,
+    density_table_csv,
     dumps_json,
     eval_grid_csv,
     frame_estimate_to_doc,
@@ -225,13 +226,7 @@ def _cmd_density(args):
     gamma = _load_point_set(args.infile, args.window)
     radii = _parse_radii(args.radii)
     report = density_estimate(gamma, radii, args.translate_step)
-    table = "radius,n_minus,n_plus,reliable\n" + "".join(
-        f"{format(r, '.17g')},{lo},{hi},{int(ok)}\n"
-        for r, lo, hi, ok in zip(
-            report.radii, report.n_minus, report.n_plus, report.reliable
-        )
-    )
-    return density_report_to_doc(report), {"density_table.csv": table}
+    return density_report_to_doc(report), {"density_table.csv": density_table_csv(report)}
 
 
 def _cmd_frame(args):
@@ -385,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=float, help="window radius for CSV input")
     p.add_argument("--radii", default="5:15:1", help='radius ladder "start:stop:step"')
     p.add_argument(
-        "--translate-step", type=float, default=0.25, help="square translate step"
+        "--translate-step", type=float, default=0.25, help="ignored; must be positive and finite"
     )
     p.add_argument("--out", default=".")
 

@@ -104,7 +104,9 @@ def _require_reconstruction_regime(beta: float, alpha: float):
         raise DensityOrderViolated(
             f"reconstruction needs density beta = {beta:g} strictly above "
             f"alpha = {alpha:g}; at or below the critical density the "
-            "series is not guaranteed to converge"
+            "series is not guaranteed to converge",
+            beta=float(beta),
+            alpha=float(alpha),
         )
 
 
@@ -113,7 +115,9 @@ def _require_interpolation_regime(beta: float, alpha: float):
         raise DensityOrderViolated(
             f"interpolation needs density beta = {beta:g} strictly below "
             f"alpha = {alpha:g}; the critical lattice is not a set of "
-            "interpolation"
+            "interpolation",
+            beta=float(beta),
+            alpha=float(alpha),
         )
 
 
@@ -123,14 +127,17 @@ def _gather(gamma: PointSet, data: dict, radius: float, what: str):
     Raises
     ------
     MissingSamples
-        If some point within the radius has no value in ``data``.
+        If some point within the radius has no value in ``data``; fields
+        ``missing`` (how many) and ``radius``.
     """
     inside = np.abs(gamma.points) <= radius
     nodes = gamma.points[inside]
     missing = sum(complex(p) not in data for p in nodes)
     if missing:
         raise MissingSamples(
-            f"{missing} points within radius {radius:g} have no {what}"
+            f"{missing} points within radius {radius:g} have no {what}",
+            missing=missing,
+            radius=float(radius),
         )
     values = np.array([complex(data[complex(p)]) for p in nodes], dtype=np.complex128)
     return nodes, gamma.indices[inside], values
@@ -228,9 +235,11 @@ def lagrange_reconstruct(gamma: PointSet, alpha: float, samples: dict, z, trunca
     ------
     DensityOrderViolated
         If the set's lattice density beta/pi does not exceed alpha/pi
-        (including the critical case beta = alpha).
+        (including the critical case beta = alpha); fields ``beta`` and
+        ``alpha``.
     MissingSamples
-        If some point within the truncation radius has no sample.
+        If some point within the truncation radius has no sample; fields
+        ``missing`` and ``radius``.
     Overflow
         As :func:`_checked_exp`, where the value off a sampled point
         passes the double range.
@@ -385,9 +394,10 @@ def build_interpolant(problem: InterpolationProblem, truncation_radius: float) -
     ------
     DensityOrderViolated
         If the data lattice density does not stay strictly below alpha
-        (the critical case included).
+        (the critical case included); fields ``beta`` and ``alpha``.
     MissingSamples
-        If some point within the truncation radius has no datum.
+        If some point within the truncation radius has no datum; fields
+        ``missing`` and ``radius``.
     """
     truncation_radius = float(truncation_radius)
     if truncation_radius <= 0.0:

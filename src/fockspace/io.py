@@ -37,6 +37,7 @@ __all__ = [
     "density_report_to_doc",
     "frame_estimate_to_doc",
     "frame_table_csv",
+    "density_table_csv",
     "eval_grid_csv",
     "sigma_grid_csv",
 ]
@@ -262,6 +263,15 @@ def frame_estimate_to_doc(est: FrameEstimate) -> dict:
 def frame_table_csv(rows) -> str:
     """CSV of (N, A_N, B_N) rows for plotting."""
     return _csv("N,A_N,B_N", *zip(*((int(degree), float(a), float(b)) for degree, a, b in rows)))
+
+
+def density_table_csv(report: DensityReport) -> str:
+    """CSV of (radius, n_minus, n_plus, reliable) rows, reliable as 0/1."""
+    return _csv(
+        "radius,n_minus,n_plus,reliable",
+        [float(r) for r in report.radii],
+        *([int(v) for v in col] for col in (report.n_minus, report.n_plus, report.reliable)),
+    )
 
 
 def eval_grid_csv(zs, values, alpha: float) -> str:

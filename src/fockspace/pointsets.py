@@ -456,9 +456,11 @@ def counts(gamma: PointSet, r: float, translate_step: float):
     inside the window disk and returns the exact minimum and maximum of
     ``#(points in t + [0, r) x [0, r))``. Counts only change when a square
     edge crosses a point coordinate or the feasibility boundary crosses
-    such an event line, so evaluating at those critical translates (the
-    coarse ``translate_step`` grid is folded in as a prefilter) is
-    exhaustive. Candidate ``t_x`` sharing one column of points
+    such an event line, so the ``t_x`` events (``x``, ``x - r``, the
+    crossings and the ends of the feasible interval) and the midpoints
+    between them are exhaustive; ``translate_step`` is checked to be
+    positive and otherwise ignored, since a grid of translates adds no
+    count. Candidate ``t_x`` sharing one column of points
     ``t_x <= x < t_x + r`` share its counts, and their ``t_y`` candidates
     are the y-events in the widest feasible interval ``[-g, g - r]`` plus
     every translate's ends: the intervals are nested about ``-r/2``, also
@@ -485,12 +487,10 @@ def counts(gamma: PointSet, r: float, translate_step: float):
     WindowTooSmall
         When no translate fits in the window; fields ``square_side``, ``window_radius``.
     ValidationError
-        When ``r`` or ``translate_step`` is not positive, or the step is too
-        fine for its grid of translates.
+        When ``r`` or ``translate_step`` is not positive.
     """
     r = float(r)
-    step = float(translate_step)
-    if not (r > 0.0 and step > 0.0):
+    if not (r > 0.0 and float(translate_step) > 0.0):
         raise ValidationError("r and translate_step must be positive")
     w = gamma.window_radius
     tol = 16.0 * np.finfo(np.float64).eps * (1.0 + w + r)
@@ -513,12 +513,7 @@ def counts(gamma: PointSet, r: float, translate_step: float):
     root = w * w - targets * targets
     rt = np.sqrt(root[root >= 0.0])
     cross = np.concatenate([rt, -rt, -r + rt, -r - rt])
-    try:
-        grid = np.arange(xlo, xhi, step) if xhi > xlo else np.array([xlo])
-    except ValueError as exc:  # more translates than an array can index
-        raise ValidationError(f"translate_step {step:g} is too fine", translate_step=step) from exc
-
-    xcand = np.concatenate([bx, cross, grid, [xlo, xhi]])
+    xcand = np.concatenate([bx, cross, [xlo, xhi]])
     tx = _with_midpoints(_sorted_unique(np.clip(xcand, xlo, xhi)))
 
     # Feasible t_y interval [-g, g - r] of each candidate t_x.
@@ -578,6 +573,8 @@ def density_estimate(gamma: PointSet, radii, translate_step: float) -> DensityRe
     instead of failing. The reported estimates are the extreme values of
     ``n(r)/r**2`` over the largest third of the reliable radii, which is
     where the finite-window counts are closest to their limits.
+    ``translate_step`` is passed to :func:`counts`, which checks that it
+    is positive and otherwise ignores it.
     """
     radii = [float(r) for r in radii]
     if any(b <= a for a, b in zip(radii, radii[1:])):

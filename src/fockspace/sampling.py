@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import (
     AlphaMismatch,
@@ -160,6 +159,9 @@ def norm_decomposition_check(f: FockFunction, alpha: float, K: int) -> float:
     ValidationError
         If the nodes of f are not well inside the covered square.
     """
+    # imported here: about 3.5 ms that no CLI subcommand needs
+    from numpy.polynomial.legendre import leggauss
+
     if f.kind != "kernel":
         raise UnsupportedRepresentation(
             "norm decomposition needs a kernel-combination function"
@@ -220,12 +222,15 @@ def point_removal_experiment(gamma: PointSet, alpha: float, N: int, removed: com
     Raises
     ------
     PointNotInSet
-        If the removed point is not one of the set's points.
+        If the removed point is not one of the set's points; field
+        ``point``, that point as ``[re, im]``.
     """
     removed = complex(removed)
     pos = np.flatnonzero(gamma.points == removed)
     if pos.size == 0:
-        raise PointNotInSet(f"{removed} is not a point of the set")
+        raise PointNotInSet(
+            f"{removed} is not a point of the set", point=[removed.real, removed.imag]
+        )
     before = frame_bounds(gamma, alpha, N, gamma.window_radius)
     keep = np.ones(len(gamma), dtype=bool)
     keep[pos[0]] = False

@@ -808,8 +808,9 @@ class TestNodeDerivative:
 
     def test_unknown_index_raises(self):
         cp = canonical_product(square_lattice(1.0, 8.0), SquareLattice(1.0), 25)
-        with pytest.raises(PointNotInSet):
-            gfun_derivative_at_node(cp, (30, 30))
+        with pytest.raises(PointNotInSet) as info:
+            gfun_derivative_at_node(cp, (30, -31))
+        assert info.value.fields == {"index": [30, -31]}
 
 
 class TestGrowthCheck:

@@ -282,19 +282,21 @@ class TestValidationExits:
         assert not out.exists()
         assert error_doc(capsys)["error"] == "ValidationError"
 
-    def test_unbuildable_translate_grid_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("step", ["0", "-0.25", "inf", "nan"])
+    def test_bad_translate_step_exits_2(self, tmp_path, capsys, step):
+        # the step is ignored, but it is still checked
         main(["lattice", "--spacing", "1", "--window", "6", "--out", str(tmp_path)])
         capsys.readouterr()
         out = tmp_path / "fresh"
         rc = main(
             ["density", "--in", str(tmp_path / "points.csv"), "--window", "6",
-             "--translate-step", "1e-300", "--out", str(out)]
+             f"--translate-step={step}", "--out", str(out)]
         )
         assert rc == 2
         assert not out.exists()
-        doc = error_doc(capsys, "translate_step")
+        doc = error_doc(capsys)
         assert doc["error"] == "ValidationError"
-        assert doc["translate_step"] == 1e-300
+        assert "--translate-step" in doc["message"]
 
     def test_memory_error_exits_2_without_files(self, tmp_path, capsys, monkeypatch):
         def exhausted(args):
@@ -341,6 +343,21 @@ class TestDensity:
         table = (tmp_path / "density_table.csv").read_text().splitlines()
         assert table[0] == "radius,n_minus,n_plus,reliable"
         assert len(table) == 2
+
+    def test_fine_translate_step_matches_default(self, tmp_path):
+        main(["lattice", "--spacing", "1", "--window", "6", "--perturb", "0.2", "--seed", "3",
+              "--out", str(tmp_path)])
+        argv = ["density", "--in", str(tmp_path / "points.csv"), "--window", "6.2",
+                "--radii", "1:9:1"]
+        runs = []
+        for extra in ([], ["--translate-step", "1e-300"]):
+            out = tmp_path / ("fine" if extra else "default")
+            assert main(argv + extra + ["--out", str(out)]) == 0
+            runs.append(
+                ((out / "density_table.csv").read_text(), read_report(out, "density")["results"])
+            )
+        assert runs[0] == runs[1]
+        assert runs[0][1]["reliable"][-2:] == [True, False]  # r = 9 does not fit
 
     def test_json_point_set_input(self, tmp_path):
         main(
@@ -535,7 +552,9 @@ class TestReconstruct:
         )
         assert rc == 2
         assert not out.exists()
-        assert error_doc(capsys)["error"] == "DensityOrderViolated"
+        doc = error_doc(capsys, "beta", "alpha")
+        assert doc["error"] == "DensityOrderViolated"
+        assert (doc["beta"], doc["alpha"]) == (pytest.approx(0.8), ALPHA)
 
     def test_critical_problem_rejected(self, tmp_path, capsys, critical_problem):
         rc = main(
@@ -551,7 +570,9 @@ class TestReconstruct:
             ]
         )
         assert rc == 2
-        assert error_doc(capsys)["error"] == "DensityOrderViolated"
+        doc = error_doc(capsys, "beta", "alpha")
+        assert doc["error"] == "DensityOrderViolated"
+        assert (doc["beta"], doc["alpha"]) == (pytest.approx(1.0), ALPHA)
 
 
 class TestInterpolate:
@@ -616,7 +637,9 @@ class TestInterpolate:
             ]
         )
         assert rc == 2
-        assert error_doc(capsys)["error"] == "DensityOrderViolated"
+        doc = error_doc(capsys, "beta", "alpha")
+        assert doc["error"] == "DensityOrderViolated"
+        assert (doc["beta"], doc["alpha"]) == (pytest.approx(1.5), ALPHA)
 
     def test_critical_problem_rejected(self, tmp_path, capsys, critical_problem):
         rc = main(
@@ -632,7 +655,9 @@ class TestInterpolate:
             ]
         )
         assert rc == 2
-        assert error_doc(capsys)["error"] == "DensityOrderViolated"
+        doc = error_doc(capsys, "beta", "alpha")
+        assert doc["error"] == "DensityOrderViolated"
+        assert (doc["beta"], doc["alpha"]) == (pytest.approx(1.0), ALPHA)
 
     def test_far_grid_exits_3_without_files(self, tmp_path, capsys, interp_problem):
         out = tmp_path / "fresh"
@@ -762,6 +787,18 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip().endswith("0.1.0")
+
+    def test_import_skips_numpy_polynomial(self):
+        # only norm_decomposition_check needs leggauss, and no subcommand calls it
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, fockspace.cli; print('numpy.polynomial' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
     def test_runs_without_scipy_or_lazy_imports(self, tmp_path):
         # A fresh interpreter, so modules the test session imported do not

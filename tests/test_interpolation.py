@@ -195,16 +195,18 @@ class TestLagrangeReconstruct:
     def test_rejects_subcritical_density(self):
         gamma = sub_lattice()
         samples = samples_for(gamma, lambda p: 1.0, 6.0)
-        with pytest.raises(DensityOrderViolated):
+        with pytest.raises(DensityOrderViolated) as info:
             lagrange_reconstruct(gamma, ALPHA, samples, 0.1 + 0.1j, 6.0)
+        assert info.value.fields == {"beta": pytest.approx(0.8 * ALPHA), "alpha": ALPHA}
 
     def test_missing_samples(self):
         gamma = super_lattice()
         samples = samples_for(gamma, lambda p: 1.0, 8.0)
         victim = max(samples, key=abs)
         del samples[victim]
-        with pytest.raises(MissingSamples):
+        with pytest.raises(MissingSamples) as info:
             lagrange_reconstruct(gamma, ALPHA, samples, 0.1j, 8.0)
+        assert info.value.fields == {"missing": 1, "radius": 8.0}
 
     def test_no_point_within_radius(self):
         # the perturbed origin point lies 0.12 out, so no sample falls
@@ -366,8 +368,11 @@ class TestBuildInterpolant:
 
     def test_missing_data(self):
         prob = sub_problem(6.0)
-        with pytest.raises(MissingSamples):
+        with pytest.raises(MissingSamples) as info:
             build_interpolant(prob, 8.0)
+        ring = np.abs(prob.gamma.points)
+        missing = int(np.count_nonzero((ring > 6.0) & (ring <= 8.0)))
+        assert info.value.fields == {"missing": missing, "radius": 8.0}
 
     def test_plain_value_overflow_far_from_radius(self):
         # 90 out, f is about exp(alpha 90^2 / 2) times its weighted value:
@@ -394,8 +399,9 @@ class TestBuildInterpolant:
         prob = sub_problem(7.0)
         ev = build_interpolant(prob, 7.0)
         partial = dict(list(prob.data.items())[:-1])
-        with pytest.raises(MissingSamples):
+        with pytest.raises(MissingSamples) as info:
             ev.with_data(partial)
+        assert info.value.fields == {"missing": 1, "radius": 7.0}
 
     def test_pointwise_bound_reported(self):
         ev = build_interpolant(sub_problem(8.0), 8.0)

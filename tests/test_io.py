@@ -9,6 +9,7 @@ import pytest
 from fockspace import io
 from fockspace.errors import ValidationError
 from fockspace.io import (
+    density_table_csv,
     dumps_json,
     eval_grid_csv,
     fock_function_from_doc,
@@ -23,7 +24,7 @@ from fockspace.io import (
     problem_from_doc,
     sigma_grid_csv,
 )
-from fockspace.pointsets import perturb, square_lattice
+from fockspace.pointsets import density_estimate, perturb, square_lattice
 from fockspace.sampling import frame_bounds
 from fockspace.space import FockFunction
 
@@ -222,6 +223,16 @@ class TestCsvTables:
         assert point_set_csv(gamma) == per_cell_csv("x,y,m,n", rows)
         table = [(8, math.nan, math.inf), (16, -0.0, 5e-324), (1024, 1.7976931348623157e308, -math.inf)]
         assert frame_table_csv(table) == per_cell_csv("N,A_N,B_N", table)
+
+    def test_density_table_equals_per_cell_fmt(self):
+        # no side-7 square fits the window: that radius is unreliable, its counts 0
+        gamma = perturb(square_lattice(1.0, 4.0), 0.2, seed=2)
+        report = density_estimate(gamma, [0.1, 1.0 / 3.0, 2.5, 7.0], 0.25)
+        assert report.reliable == (True, True, True, False)
+        rows = [(r, lo, hi, int(ok)) for r, lo, hi, ok in
+                zip(report.radii, report.n_minus, report.n_plus, report.reliable)]
+        assert density_table_csv(report) == per_cell_csv("radius,n_minus,n_plus,reliable", rows)
+        assert density_table_csv(report).splitlines()[-1] == "7,0,0,0"
 
     def test_eval_grid_weighted_magnitude(self):
         zs = np.array([0.0j, 1.0 + 1.0j])

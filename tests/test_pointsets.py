@@ -423,10 +423,16 @@ class TestCounts:
         assert info.value.fields == {"square_side": 1.0, "window_radius": 3.0}
 
     @pytest.mark.parametrize("step", [1e-300, 5e-324])
-    def test_unbuildable_grid_names_the_step(self, step):
-        with pytest.raises(errors.ValidationError, match="translate_step") as info:
+    def test_fine_step_gives_the_coarse_counts(self, step):
+        # the step is ignored: no grid of translates is built, however fine
+        gamma = pointsets.perturb(pointsets.square_lattice(1.0, 6.0), 0.2, 3)
+        want = reference_counts(gamma, 2.0, 0.5)
+        assert pointsets.counts(gamma, 2.0, step) == want == pointsets.counts(gamma, 2.0, 0.5)
+
+    @pytest.mark.parametrize("step", [0.0, -0.5, math.nan])
+    def test_step_must_be_positive(self, step):
+        with pytest.raises(errors.ValidationError, match="translate_step"):
             pointsets.counts(pointsets.square_lattice(1.0, 6.0), 2.0, step)
-        assert info.value.fields == {"translate_step": step}
 
     def test_monotone_in_radius(self):
         ps = pointsets.square_lattice(1.0, 25.0)
@@ -465,6 +471,22 @@ class TestCountsMatchReference:
                 pointsets.counts(gamma, r, step)
             return
         assert pointsets.counts(gamma, r, step) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(count_cases(), st.sampled_from([(5e-324, 0), (1e-300, 0), (1e-6, 1), (10.0, 1)]))
+    def test_any_step_gives_the_reference_counts(self, case, other):
+        # steps no grid of translates could be built at, or that would lay
+        # one down every 1e-6 r or not at all, change no count
+        gamma, r, step = case
+        factor, power = other
+        other_step = factor * r**power
+        try:
+            want = reference_counts(gamma, r, step)
+        except errors.WindowTooSmall:
+            with pytest.raises(errors.WindowTooSmall):
+                pointsets.counts(gamma, r, other_step)
+            return
+        assert pointsets.counts(gamma, r, other_step) == want
 
     @settings(max_examples=100, deadline=None)
     @given(count_cases(), st.sampled_from([1, 50, 4000]))

@@ -4,8 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import legendre
 
-from fockspace import sampling
 from fockspace.errors import (
     AlphaMismatch,
     PointNotInSet,
@@ -237,13 +237,13 @@ class TestNormDecomposition:
     def test_unstable_quadrature_names_its_order(self, monkeypatch):
         # a rule whose weights are off by 1e-6 at order 24 moves every
         # cell integral when the order is doubled
-        rule = sampling.leggauss
+        rule = legendre.leggauss
 
         def skewed(order):
             xs, ws = rule(order)
             return xs, ws * (1.0 + 1e-6 * (order == 24))
 
-        monkeypatch.setattr(sampling, "leggauss", skewed)
+        monkeypatch.setattr(legendre, "leggauss", skewed)
         f = FockFunction.kernel_combo(1.0, [0.0], [1.0])
         with pytest.raises(QuadratureOrderTooLow) as info:
             norm_decomposition_check(f, 1.0, 1)
@@ -273,5 +273,6 @@ class TestPointRemoval:
 
     def test_missing_point_raises(self):
         gam = square_lattice(1.0, 5.0)
-        with pytest.raises(PointNotInSet):
-            point_removal_experiment(gam, 1.0, 4, 0.25 + 0.25j)
+        with pytest.raises(PointNotInSet) as info:
+            point_removal_experiment(gam, 1.0, 4, 0.25 - 0.5j)
+        assert info.value.fields == {"point": [0.25, -0.5]}
