@@ -89,7 +89,7 @@ from .errors import (
     ValidationError,
 )
 from .pointsets import PointSet, SquareLattice, nearest_distance, separation
-from .space import LogComplex, _check_alpha, reduce_phase
+from .space import LogComplex, _check_alpha, _disk_grid, reduce_phase
 
 __all__ = [
     "CanonicalProduct",
@@ -621,10 +621,7 @@ def growth_check(cp: CanonicalProduct, alpha: float, grid_radius: float, grid_st
             "grid_radius must stay within 0.6 of the window radius to "
             "avoid edge effects"
         )
-    half = int(math.floor(grid_radius / grid_step))
-    axis = grid_step * np.arange(-half, half + 1, dtype=np.float64)
-    zz = (axis[None, :] + 1j * axis[:, None]).ravel()
-    zz = zz[np.abs(zz) <= grid_radius]
+    zz = _disk_grid(grid_radius, grid_step)
 
     logs = _gfun_log_many(cp, zz)
     logw = logs.real - 0.5 * alpha * np.abs(zz) ** 2

@@ -59,12 +59,11 @@ from .errors import (
     DensityOrderViolated,
     MissingSamples,
     NodeIndexMissing,
-    Overflow,
     QuadratureOrderTooLow,
     ValidationError,
 )
 from .pointsets import PointSet, SquareLattice
-from .space import MAX_EXP, _check_alpha, _combine_term_logs, _log, _monomial_logs
+from .space import _check_alpha, _checked_exp, _combine_term_logs, _disk_grid, _log, _monomial_logs
 
 __all__ = [
     "InterpolationProblem",
@@ -126,18 +125,26 @@ def _gather(gamma: PointSet, data: dict, radius: float, what: str):
 
     Raises
     ------
+    ValidationError
+        If ``radius`` is not positive and finite, or no point of the set
+        lies within it, so a series would have no term.
     MissingSamples
         If some point within the radius has no value in ``data``; fields
         ``missing`` (how many) and ``radius``.
     """
+    radius = float(radius)
+    if not (math.isfinite(radius) and radius > 0.0):
+        raise ValidationError(f"truncation_radius must be positive and finite, got {radius:g}")
     inside = np.abs(gamma.points) <= radius
     nodes = gamma.points[inside]
+    if not nodes.size:
+        raise ValidationError(f"no point of the set lies within the truncation radius {radius:g}")
     missing = sum(complex(p) not in data for p in nodes)
     if missing:
         raise MissingSamples(
             f"{missing} points within radius {radius:g} have no {what}",
             missing=missing,
-            radius=float(radius),
+            radius=radius,
         )
     values = np.array([complex(data[complex(p)]) for p in nodes], dtype=np.complex128)
     return nodes, gamma.indices[inside], values
@@ -161,10 +168,13 @@ class _LagrangeBasis:
     kappa: float
 
     @classmethod
-    def of(cls, gamma: PointSet, spacing: float, nodes, node_indices, kappa: float):
+    def of(cls, gamma: PointSet, spacing: float, data: dict, radius: float, what: str, kappa: float):
+        """The basis on the points of gamma within ``radius`` and their
+        ``data`` values, checked by :func:`_gather` before g is built."""
+        nodes, node_indices, values = _gather(gamma, data, radius, what)
         # the ignored third argument is read by perfbench's span counter
         cp = canonical_product(gamma, SquareLattice(spacing), 1)
-        return cls(cp, nodes, _node_derivative_logs(cp, node_indices), kappa)
+        return cls(cp, nodes, _node_derivative_logs(cp, node_indices), kappa), values
 
     def series(self, coeff_logs: np.ndarray, zs: np.ndarray) -> np.ndarray:
         """Complex log of ``sum_i c_i L_i`` at ``zs`` in blocks of ``_SERIES_CELLS``
@@ -194,27 +204,6 @@ class _LagrangeBasis:
         return out
 
 
-def _checked_exp(logs: np.ndarray, zs: np.ndarray, what: str) -> np.ndarray:
-    """``exp(logs)``, the plain values of ``what`` at the points ``zs``.
-
-    Raises
-    ------
-    Overflow
-        If some log modulus reaches ``MAX_EXP``; fields ``log_mag`` (the
-        largest) and ``radius`` (its ``|z|``).
-    """
-    if np.any(logs.real >= MAX_EXP):
-        top = int(np.nanargmax(logs.real))
-        log_mag, radius = float(logs.real[top]), float(abs(zs[top]))
-        raise Overflow(
-            f"{what} log modulus {log_mag:.6g} at |z| = {radius:.6g} "
-            f"exceeds the safe exponent {MAX_EXP:g}",
-            log_mag=log_mag,
-            radius=radius,
-        )
-    return np.exp(logs)
-
-
 def lagrange_reconstruct(gamma: PointSet, alpha: float, samples: dict, z, truncation_radius: float):
     """Recover f(z) from its plain samples on a supercritical set.
 
@@ -241,16 +230,14 @@ def lagrange_reconstruct(gamma: PointSet, alpha: float, samples: dict, z, trunca
         If some point within the truncation radius has no sample; fields
         ``missing`` and ``radius``.
     Overflow
-        As :func:`_checked_exp`, where the value off a sampled point
-        passes the double range.
+        As :func:`~fockspace.space._checked_exp`, where the value off a
+        sampled point passes the double range.
     ValidationError
-        If no point of the set lies within the truncation radius, so
-        the series would have no term.
+        If a query leaves the interior, or as :func:`_gather`: the
+        truncation radius is not positive and finite, or no point of
+        the set lies within it, so the series would have no term.
     """
     alpha = _check_alpha(alpha)
-    truncation_radius = float(truncation_radius)
-    if truncation_radius <= 0.0:
-        raise ValidationError("truncation_radius must be positive")
     spacing = _fitted_spacing(gamma)
     beta = math.pi / spacing**2
     _require_reconstruction_regime(beta, alpha)
@@ -261,19 +248,13 @@ def lagrange_reconstruct(gamma: PointSet, alpha: float, samples: dict, z, trunca
         raise ValidationError(
             "query points must stay strictly inside half the truncation radius"
         )
-    nodes, node_indices, values = _gather(gamma, samples, truncation_radius, "sample")
-    if not nodes.size:
-        raise ValidationError(
-            f"no point of the set lies within the truncation radius {truncation_radius:g}"
-        )
-
-    basis = _LagrangeBasis.of(gamma, spacing, nodes, node_indices, 0.0)
+    basis, values = _LagrangeBasis.of(gamma, spacing, samples, truncation_radius, "sample", 0.0)
     logs = basis.series(_log(values), flat)
 
     # direct return of the sample at an exact sample point, found by a
     # sorted search (np.isin imports numpy.ma on first use) that ends in
     # a NaN no query equals; a huge sample there is no overflow
-    sorted_nodes = np.append(np.sort(nodes), np.nan)
+    sorted_nodes = np.append(np.sort(basis.nodes), np.nan)
     hit = sorted_nodes[np.searchsorted(sorted_nodes, flat)] == flat
     logs[hit] = 0.0
     out = _checked_exp(logs, flat, "reconstruction")
@@ -342,7 +323,7 @@ class InterpolantEvaluator:
         Raises
         ------
         Overflow
-            As :func:`_checked_exp`.
+            As :func:`~fockspace.space._checked_exp`.
         """
         zs = np.asarray(z, dtype=np.complex128)
         flat = zs.ravel()
@@ -373,11 +354,7 @@ class InterpolantEvaluator:
         grid_step = float(grid_step)
         if not (math.isfinite(grid_step) and grid_step > 0.0):
             raise ValidationError("grid_step must be positive and finite")
-        half = self.truncation_radius / 2.0
-        n = int(math.floor(half / grid_step))
-        axis = grid_step * np.arange(-n, n + 1)
-        grid = (axis[None, :] + 1j * axis[:, None]).ravel()
-        grid = grid[np.abs(grid) <= half]
+        grid = _disk_grid(self.truncation_radius / 2.0, grid_step)
         logs = self._series(grid).real
         sup_w = float(np.max(logs - 0.5 * self.problem.alpha * _sq(grid)))
         sup_a = max((abs(complex(v)) for v in self._targets), default=0.0)
@@ -398,20 +375,16 @@ def build_interpolant(problem: InterpolationProblem, truncation_radius: float) -
     MissingSamples
         If some point within the truncation radius has no datum; fields
         ``missing`` and ``radius``.
+    ValidationError
+        As :func:`_gather`: the truncation radius is not positive and
+        finite, or no point of the set lies within it.
     """
-    truncation_radius = float(truncation_radius)
-    if truncation_radius <= 0.0:
-        raise ValidationError("truncation_radius must be positive")
     _require_interpolation_regime(problem.beta, problem.alpha)
-    spacing = problem.lattice_spacing
-    nodes, node_indices, targets = _gather(problem.gamma, problem.data, truncation_radius, "datum")
     kappa = problem.alpha - problem.beta
-    return InterpolantEvaluator(
-        problem=problem,
-        truncation_radius=truncation_radius,
-        _basis=_LagrangeBasis.of(problem.gamma, spacing, nodes, node_indices, kappa),
-        _targets=targets,
+    basis, targets = _LagrangeBasis.of(
+        problem.gamma, problem.lattice_spacing, problem.data, truncation_radius, "datum", kappa
     )
+    return InterpolantEvaluator(problem, float(truncation_radius), basis, targets)
 
 
 def residual_check(ev: InterpolantEvaluator) -> float:

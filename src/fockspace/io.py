@@ -22,12 +22,10 @@ import numpy as np
 from .errors import ValidationError
 from .pointsets import DensityReport, PointSet, _has_repeats
 from .sampling import FrameEstimate
-from .space import FockFunction, reduce_phase
+from .space import reduce_phase
 
 __all__ = [
     "dumps_json",
-    "fock_function_to_doc",
-    "fock_function_from_doc",
     "point_set_to_doc",
     "point_set_from_doc",
     "point_set_csv",
@@ -114,29 +112,6 @@ def _number(doc: dict, key: str, what: str) -> float:
         return float(value)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{what} field {key!r} must be a number, got {value!r}") from exc
-
-
-def fock_function_to_doc(f: FockFunction) -> dict:
-    doc = {"alpha": f.alpha, "repr": f.kind}
-    if f.kind == "monomial":
-        doc["coeffs"] = _pairs(f.coeffs)
-    else:
-        doc["nodes"] = _pairs(f.nodes)
-        doc["weights"] = _pairs(f.weights)
-    return doc
-
-
-def fock_function_from_doc(doc: dict) -> FockFunction:
-    alpha = _number(doc, "alpha", "function document")
-    kind = _require(doc, "repr", "function document")
-    if kind == "monomial":
-        coeffs = _unpairs(_require(doc, "coeffs", "monomial function"), "coeffs")
-        return FockFunction.monomial(alpha, coeffs)
-    if kind == "kernel":
-        nodes = _unpairs(_require(doc, "nodes", "kernel function"), "nodes")
-        weights = _unpairs(_require(doc, "weights", "kernel function"), "weights")
-        return FockFunction.kernel_combo(alpha, nodes, weights)
-    raise ValidationError(f"unknown representation {kind!r}")
 
 
 def point_set_to_doc(gamma: PointSet) -> dict:

@@ -176,6 +176,9 @@ def square_lattice(spacing: float, window_radius: float) -> PointSet:
     ------
     EmptyWindow
         If ``window_radius`` is negative.
+    ValidationError
+        If ``spacing`` is not positive and finite, or ``window_radius``
+        is not finite.
     """
     s = float(spacing)
     if not (math.isfinite(s) and s > 0.0):
@@ -183,6 +186,8 @@ def square_lattice(spacing: float, window_radius: float) -> PointSet:
     w = float(window_radius)
     if w < 0.0:
         raise EmptyWindow(f"window_radius {w:g} is negative")
+    if not math.isfinite(w):
+        raise ValidationError(f"window_radius must be finite, got {w:g}")
     kmax = int(math.floor(w / s))
     rng = np.arange(-kmax, kmax + 1, dtype=np.int64)
     m, n = np.meshgrid(rng, rng)  # row index varies over n

@@ -50,7 +50,6 @@ __all__ = [
     "FockFunction",
     "reduce_phase",
     "kernel",
-    "kernel_log",
     "eval",
     "eval_weighted",
     "eval_weighted_log",
@@ -233,23 +232,44 @@ def kernel(alpha, z: complex, zeta: complex) -> complex:
     Raises
     ------
     Overflow
-        When the modulus exceeds the log-safe range; use
-        :func:`kernel_log` instead.
+        When the modulus exceeds the log-safe range; the exponent
+        ``alpha * conj(z) * zeta`` is the kernel's log form.
     """
     alpha = _check_alpha(alpha)
     e = alpha * complex(z).conjugate() * complex(zeta)
     if e.real >= MAX_EXP:
-        raise Overflow(
-            f"kernel exponent {e.real:.6g} exceeds the safe range; use kernel_log"
-        )
+        raise Overflow(f"kernel exponent {e.real:.6g} exceeds the safe range; keep it in log form")
     return cmath.exp(e)
 
 
-def kernel_log(alpha, z: complex, zeta: complex) -> LogComplex:
-    """Log form of the reproducing kernel, safe for any arguments."""
-    alpha = _check_alpha(alpha)
-    e = alpha * complex(z).conjugate() * complex(zeta)
-    return LogComplex(e.real, e.imag)
+def _checked_exp(logs: np.ndarray, zs: np.ndarray, what: str) -> np.ndarray:
+    """``exp(logs)``, the plain values of ``what`` at the points ``zs``
+    (arrays of one shape, 0-d included).
+
+    Raises
+    ------
+    Overflow
+        If some log modulus reaches ``MAX_EXP``; fields ``log_mag`` (the
+        largest) and ``radius`` (its ``|z|``).
+    """
+    if np.any(logs.real >= MAX_EXP):
+        top = int(np.nanargmax(logs.real))
+        log_mag, radius = float(logs.real.flat[top]), float(abs(zs.flat[top]))
+        raise Overflow(
+            f"{what} log modulus {log_mag:.6g} at |z| = {radius:.6g} "
+            f"exceeds the safe exponent {MAX_EXP:g}",
+            log_mag=log_mag,
+            radius=radius,
+        )
+    return np.exp(logs)
+
+
+def _disk_grid(radius: float, step: float) -> np.ndarray:
+    """The points ``step (m + i n)`` with ``|z| <= radius``, row-major in (n, m)."""
+    half = int(math.floor(radius / step))
+    axis = step * np.arange(-half, half + 1, dtype=np.float64)
+    grid = (axis[None, :] + 1j * axis[:, None]).ravel()
+    return grid[np.abs(grid) <= radius]
 
 
 def _log(values) -> np.ndarray:
@@ -388,15 +408,12 @@ def eval_weighted(f: FockFunction, z) -> complex:
     Raises
     ------
     Overflow
-        When some weighted value exceeds the log-safe range.
+        As :func:`_checked_exp`, when some weighted value exceeds the
+        log-safe range.
     """
-    arr = np.asarray(z, dtype=np.complex128)
-    if arr.ndim == 0:
-        return eval_weighted_log(f, complex(z)).to_complex()
-    logs = _eval_weighted_log_many(f, arr)
-    if np.any(logs.real >= MAX_EXP):
-        raise Overflow("weighted value exceeds the representable range")
-    return np.exp(logs)
+    zs = np.asarray(z, dtype=np.complex128)
+    out = _checked_exp(_eval_weighted_log_many(f, zs), zs, "weighted value")
+    return complex(out) if zs.ndim == 0 else out
 
 
 def eval(f: FockFunction, z: complex) -> complex:  # noqa: A001 - public API name

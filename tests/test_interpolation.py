@@ -216,6 +216,17 @@ class TestLagrangeReconstruct:
         with pytest.raises(ValidationError, match="truncation radius 0.1$"):
             lagrange_reconstruct(gamma, ALPHA, {}, 0.01, 0.1)
 
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_truncation_radius(self, radius):
+        # 0 and -1 leave no interior for the query; nan and inf reach the
+        # front door's own check
+        gamma = super_lattice(20.0)
+        samples = samples_for(gamma, lambda p: 1.0, 20.0)
+        with pytest.raises(ValidationError):
+            lagrange_reconstruct(gamma, ALPHA, samples, 0.1j, radius)
+        with pytest.raises(ValidationError, match="truncation_radius must be positive and finite"):
+            lagrange_reconstruct(gamma, ALPHA, samples, np.array([], dtype=complex), radius)
+
     def test_query_outside_interior(self):
         gamma = super_lattice()
         samples = samples_for(gamma, lambda p: 1.0, 8.0)
@@ -373,6 +384,20 @@ class TestBuildInterpolant:
         ring = np.abs(prob.gamma.points)
         missing = int(np.count_nonzero((ring > 6.0) & (ring <= 8.0)))
         assert info.value.fields == {"missing": missing, "radius": 8.0}
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_truncation_radius(self, radius):
+        with pytest.raises(ValidationError, match="truncation_radius must be positive and finite"):
+            build_interpolant(sub_problem(6.0), radius)
+
+    def test_no_node_within_radius(self):
+        # as for reconstruction: the perturbed origin point lies 0.12 out,
+        # so the interpolant would have no term
+        gamma = perturb(sub_lattice(), 0.2, seed=1)
+        assert np.min(np.abs(gamma.points)) > 0.01
+        prob = InterpolationProblem(gamma=gamma, alpha=ALPHA, lattice_spacing=SUB_SPACING, data={})
+        with pytest.raises(ValidationError, match="truncation radius 0.01$"):
+            build_interpolant(prob, 0.01)
 
     def test_plain_value_overflow_far_from_radius(self):
         # 90 out, f is about exp(alpha 90^2 / 2) times its weighted value:
@@ -616,8 +641,8 @@ def series_case(ratio, shift, seed, radius):
         ev = build_interpolant(prob, radius)
         return ev._basis, _log(ev._targets) + 0.5 * ALPHA * np.abs(ev._basis.nodes) ** 2
     fitted = interpolation._fitted_spacing(gamma)
-    inside = np.abs(gamma.points) <= radius
-    basis = interpolation._LagrangeBasis.of(gamma, fitted, gamma.points[inside], gamma.indices[inside], 0.0)
+    samples = dict.fromkeys(map(complex, gamma.points), 0j)
+    basis, _ = interpolation._LagrangeBasis.of(gamma, fitted, samples, radius, "sample", 0.0)
     return basis, _log(kernel_combo(basis.nodes))
 
 

@@ -12,8 +12,6 @@ from fockspace.io import (
     density_table_csv,
     dumps_json,
     eval_grid_csv,
-    fock_function_from_doc,
-    fock_function_to_doc,
     frame_estimate_to_doc,
     frame_table_csv,
     point_set_csv,
@@ -26,7 +24,6 @@ from fockspace.io import (
 )
 from fockspace.pointsets import density_estimate, perturb, square_lattice
 from fockspace.sampling import frame_bounds
-from fockspace.space import FockFunction
 
 
 class TestDumpsJson:
@@ -62,36 +59,6 @@ class TestDumpsJson:
     def test_unknown_type_rejected(self):
         with pytest.raises(ValidationError):
             dumps_json({"z": 1 + 2j})
-
-
-class TestFockFunctionDocs:
-    def test_monomial_round_trip(self):
-        f = FockFunction.monomial(2.0, [1.0, 0.5j, -0.25])
-        g = fock_function_from_doc(json.loads(dumps_json(fock_function_to_doc(f))))
-        assert g.alpha == f.alpha
-        assert g.kind == "monomial"
-        assert np.array_equal(g.coeffs, f.coeffs)
-
-    def test_kernel_round_trip(self):
-        f = FockFunction.kernel_combo(1.0, [0.0, 1.0 + 1.0j], [2.0, -1.0j])
-        g = fock_function_from_doc(json.loads(dumps_json(fock_function_to_doc(f))))
-        assert g.kind == "kernel"
-        assert np.array_equal(g.nodes, f.nodes)
-        assert np.array_equal(g.weights, f.weights)
-
-    def test_unknown_repr_rejected(self):
-        with pytest.raises(ValidationError):
-            fock_function_from_doc({"alpha": 1.0, "repr": "wavelet"})
-
-    def test_non_numeric_alpha_rejected(self):
-        with pytest.raises(ValidationError):
-            fock_function_from_doc(
-                {"alpha": "abc", "repr": "monomial", "coeffs": [[1.0, 0.0]]}
-            )
-
-    def test_missing_field_rejected(self):
-        with pytest.raises(ValidationError):
-            fock_function_from_doc({"repr": "monomial", "coeffs": [[1.0, 0.0]]})
 
 
 class TestPointSetFormats:
@@ -195,6 +162,13 @@ class TestProblemDocs:
         doc = problem_doc(1.0, 1.0, [0.0j, 1.0j], [1.0 + 0.0j, 2.0 + 0.0j])
         doc[key] = value
         with pytest.raises(ValidationError):
+            problem_from_doc(doc)
+
+    @pytest.mark.parametrize("key", ["alpha", "lattice_spacing", "nodes", "data"])
+    def test_missing_field_rejected(self, key):
+        doc = problem_doc(1.0, 1.0, [0.0j, 1.0j], [1.0 + 0.0j, 2.0 + 0.0j])
+        del doc[key]
+        with pytest.raises(ValidationError, match=f"problem document is missing the '{key}' field"):
             problem_from_doc(doc)
 
 

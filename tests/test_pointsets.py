@@ -276,6 +276,13 @@ class TestSquareLattice:
         with pytest.raises(errors.EmptyWindow):
             pointsets.square_lattice(1.0, -1.0)
 
+    @pytest.mark.parametrize("window", [math.nan, math.inf])
+    def test_non_finite_window(self, window):
+        with pytest.raises(errors.ValidationError, match="window_radius must be finite"):
+            pointsets.square_lattice(1.0, window)
+        with pytest.raises(errors.ValidationError, match="window_radius must be finite"):
+            pointsets.scale_lattice_to_density(1.0, 1.2, window)
+
     def test_deterministic_order(self):
         a = pointsets.square_lattice(0.8, 6.0)
         b = pointsets.square_lattice(0.8, 6.0)

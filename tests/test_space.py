@@ -105,8 +105,6 @@ class TestKernel:
     def test_overflow_raises(self):
         with pytest.raises(errors.Overflow):
             space.kernel(1.0, 30.0, 30.0)
-        lg = space.kernel_log(1.0, 30.0, 30.0)
-        assert lg.log_mag == pytest.approx(900.0)
 
     def test_hermitian_symmetry(self):
         a, z, w = 0.7, 1.2 - 0.3j, -0.4 + 2j
@@ -160,6 +158,24 @@ class TestEval:
         assert space.eval_weighted(f, 20.0 + 0j) == pytest.approx(
             math.exp(600.0), rel=1e-12
         )
+
+    @pytest.mark.parametrize("kind", ["monomial", "kernel"])
+    def test_scalar_equals_array_of_one(self, kind):
+        rng = np.random.default_rng(5)
+        c = rng.normal(size=9) + 1j * rng.normal(size=9)
+        f = FockFunction.monomial(0.7, c) if kind == "monomial" else combo(0.7, 3.0 * c, c[::-1])
+        for z in rng.uniform(-6, 6, 20) + 1j * rng.uniform(-6, 6, 20):
+            one = space.eval_weighted(f, z)
+            assert type(one) is complex
+            assert one == space.eval_weighted(f, np.array([z]))[0]
+
+    @pytest.mark.parametrize("z", [30.0 + 0j, np.array([0.0, 30.0 + 0j])])
+    def test_weighted_overflow_fields(self, z):
+        # weighted K(., 60) at 30 is exp(1800 - 450)
+        f = combo(1.0, [60.0], [1.0])
+        with pytest.raises(errors.Overflow) as info:
+            space.eval_weighted(f, z)
+        assert info.value.fields == {"log_mag": pytest.approx(1350.0), "radius": 30.0}
 
     def test_kernel_combo_weighted_log(self):
         # far node: weighted value huge but representable in log form
