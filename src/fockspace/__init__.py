@@ -47,7 +47,6 @@ from .space import (
     inner,
     kernel,
     norm2,
-    norm_inf,
     translate,
 )
 
@@ -82,7 +81,6 @@ __all__ = [
     "norm2",
     "norm_decomposition_check",
     "norm_growth_report",
-    "norm_inf",
     "perturb",
     "point_removal_experiment",
     "quasi_period_constants",

@@ -33,10 +33,6 @@ class Overflow(NumericalDiagnosticError):
     """A plain complex result left the log-safe range; use the log form."""
 
 
-class RadiusTooSmall(ValidationError):
-    """Search radius does not cover the concentration region of f."""
-
-
 class UnsupportedRepresentation(ValidationError):
     """Operation is not defined for this function representation."""
 

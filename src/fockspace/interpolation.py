@@ -280,8 +280,10 @@ class InterpolationProblem:
 
     def __post_init__(self):
         _check_alpha(self.alpha)
-        if not (self.lattice_spacing > 0.0):
-            raise ValidationError("lattice_spacing must be positive")
+        if not (math.isfinite(self.lattice_spacing) and self.lattice_spacing > 0.0):
+            raise ValidationError(
+                f"lattice_spacing must be positive and finite, got {self.lattice_spacing}"
+            )
         if self.gamma.indices is None:
             raise NodeIndexMissing("interpolation needs a lattice-indexed set")
         members = set(map(complex, self.gamma.points))

@@ -208,9 +208,14 @@ def scale_lattice_to_density(alpha: float, density_ratio: float, window_radius: 
     """
     alpha = float(alpha)
     ratio = float(density_ratio)
-    if not (alpha > 0.0 and ratio > 0.0):
-        raise ValidationError("alpha and density_ratio must be positive")
-    return square_lattice(math.sqrt(math.pi / (alpha * ratio)), window_radius)
+    for name, value in (("alpha", alpha), ("density_ratio", ratio)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValidationError(f"{name} must be positive and finite, got {value}")
+    product = alpha * ratio
+    spacing = math.sqrt(math.pi / product) if product > 0.0 else math.inf
+    if not 0.0 < spacing < math.inf:
+        raise ValidationError(f"alpha * density_ratio = {product:g} gives no finite spacing")
+    return square_lattice(spacing, window_radius)
 
 
 def perturb(lattice: PointSet, max_shift: float, seed: int) -> PointSet:

@@ -15,37 +15,33 @@ norms:
 
 Quantities carrying the factors ``exp(+-alpha |z|^2 / 2)`` are evaluated
 in log form throughout, so no intermediate overflows even when the plain
-function value would. Plain complex code paths raise :class:`Overflow`
-instead of returning infinities.
+function value would.
 
 Inside the package an array of values in log form is one complex array:
 its real part is ``log|.|``, ``-inf`` for an exact zero, and its
 imaginary part is the phase. Products are sums of such arrays, and
 :func:`_combine_term_logs` is the one log-sum-exp that adds terms up
-(times plain factors in the Lagrange series' scaled Cauchy sum).
-:class:`LogComplex` is the scalar form the public API returns.
+(times plain factors in the Lagrange series' scaled Cauchy sum); every
+function value, plain or weighted, is reduced there by
+:func:`_eval_weighted_log_many`. Every plain value leaves the log domain
+through :func:`_checked_exp`, the one guarded exponential, whose
+:class:`Overflow` carries ``log_mag`` and, where the value belongs to a
+point, ``radius``. :class:`LogComplex` is the scalar log form the public
+API returns; it does no arithmetic.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AlphaMismatch,
-    Overflow,
-    RadiusTooSmall,
-    UnsupportedRepresentation,
-    ValidationError,
-)
+from .errors import AlphaMismatch, Overflow, UnsupportedRepresentation, ValidationError
 from .pointsets import _has_repeats
 
 __all__ = [
     "MAX_EXP",
-    "MIN_EXP",
     "LogComplex",
     "FockFunction",
     "reduce_phase",
@@ -54,16 +50,14 @@ __all__ = [
     "eval_weighted",
     "eval_weighted_log",
     "norm2",
-    "norm_inf",
     "translate",
     "inner",
     "concentration_radius",
 ]
 
-# exp() overflows to Inf just above 709.78 and loses subnormal precision
-# below about -745; stay clear of the upper edge with some headroom.
+# exp() overflows to Inf just above 709.78; stay clear of the edge with
+# some headroom.
 MAX_EXP = 700.0
-MIN_EXP = -745.0
 
 
 def reduce_phase(phi):
@@ -98,41 +92,15 @@ class LogComplex:
         object.__setattr__(self, "log_mag", lm)
         object.__setattr__(self, "phase", ph)
 
-    @classmethod
-    def from_complex(cls, w: complex) -> "LogComplex":
-        w = complex(w)
-        if w == 0:
-            return cls(-math.inf, 0.0)
-        return cls(math.log(abs(w)), cmath.phase(w))
-
     def to_complex(self) -> complex:
         """Convert to a plain complex number.
 
         Raises
         ------
         Overflow
-            If the modulus exceeds the log-safe range.
+            As :func:`_checked_exp`; field ``log_mag`` only (no point).
         """
-        if self.log_mag >= MAX_EXP:
-            raise Overflow(
-                f"log modulus {self.log_mag:.6g} exceeds the safe exponent "
-                f"{MAX_EXP:g}; keep the value in log form"
-            )
-        if self.log_mag == -math.inf:
-            return 0j
-        return cmath.rect(math.exp(self.log_mag), self.phase)
-
-    def __mul__(self, other: "LogComplex") -> "LogComplex":
-        if self.log_mag == -math.inf or other.log_mag == -math.inf:
-            return LogComplex(-math.inf, 0.0)
-        return LogComplex(self.log_mag + other.log_mag, self.phase + other.phase)
-
-    def __truediv__(self, other: "LogComplex") -> "LogComplex":
-        if other.log_mag == -math.inf:
-            raise ZeroDivisionError("division by an exact LogComplex zero")
-        if self.log_mag == -math.inf:
-            return LogComplex(-math.inf, 0.0)
-        return LogComplex(self.log_mag - other.log_mag, self.phase - other.phase)
+        return complex(_checked_exp(np.complex128(self.log_mag, self.phase), None, "value"))
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -227,39 +195,40 @@ def concentration_radius(f: FockFunction) -> float:
 
 
 def kernel(alpha, z: complex, zeta: complex) -> complex:
-    """Reproducing kernel ``K(z, zeta) = exp(alpha * conj(z) * zeta)``.
+    """Reproducing kernel ``K(z, zeta) = exp(alpha * conj(z) * zeta)``,
+    the value of ``K(z, .)`` at the point ``zeta``.
 
     Raises
     ------
     Overflow
-        When the modulus exceeds the log-safe range; the exponent
-        ``alpha * conj(z) * zeta`` is the kernel's log form.
+        As :func:`_checked_exp`, when the log form ``alpha * conj(z) * zeta``
+        passes the log-safe range; fields ``log_mag`` and ``radius`` (``|zeta|``).
     """
-    alpha = _check_alpha(alpha)
-    e = alpha * complex(z).conjugate() * complex(zeta)
-    if e.real >= MAX_EXP:
-        raise Overflow(f"kernel exponent {e.real:.6g} exceeds the safe range; keep it in log form")
-    return cmath.exp(e)
+    zeta = np.complex128(zeta)
+    log_form = _check_alpha(alpha) * complex(z).conjugate() * zeta
+    return complex(_checked_exp(log_form, zeta, "kernel"))
 
 
-def _checked_exp(logs: np.ndarray, zs: np.ndarray, what: str) -> np.ndarray:
+def _checked_exp(logs: np.ndarray, zs: np.ndarray | None, what: str) -> np.ndarray:
     """``exp(logs)``, the plain values of ``what`` at the points ``zs``
-    (arrays of one shape, 0-d included).
+    (arrays or numpy scalars of one shape), or ``zs=None`` for values that
+    belong to no point.
 
     Raises
     ------
     Overflow
         If some log modulus reaches ``MAX_EXP``; fields ``log_mag`` (the
-        largest) and ``radius`` (its ``|z|``).
+        largest) and, given points, ``radius`` (its ``|z|``).
     """
     if np.any(logs.real >= MAX_EXP):
         top = int(np.nanargmax(logs.real))
-        log_mag, radius = float(logs.real.flat[top]), float(abs(zs.flat[top]))
+        fields, at = {"log_mag": float(logs.real.flat[top])}, ""
+        if zs is not None:
+            fields["radius"] = float(abs(zs.flat[top]))
+            at = f" at |z| = {fields['radius']:.6g}"
         raise Overflow(
-            f"{what} log modulus {log_mag:.6g} at |z| = {radius:.6g} "
-            f"exceeds the safe exponent {MAX_EXP:g}",
-            log_mag=log_mag,
-            radius=radius,
+            f"{what} log modulus {fields['log_mag']:.6g}{at} exceeds the safe exponent {MAX_EXP:g}",
+            **fields,
         )
     return np.exp(logs)
 
@@ -351,7 +320,6 @@ def _weighted_term_logs(f: FockFunction, zs: np.ndarray) -> np.ndarray:
     locate the scale safely.
     """
     a = f.alpha
-    zs = np.asarray(zs, dtype=np.complex128)
     if f.kind == "monomial":
         return _log(f.coeffs)[:, None] + _monomial_logs(a, len(f.coeffs) - 1, zs).T
     e = a * np.conj(f.nodes)[:, None] * zs[None, :]
@@ -380,8 +348,9 @@ def _combine_term_logs(logs: np.ndarray, factors: np.ndarray | None = None) -> n
 
 
 def _eval_weighted_log_many(f: FockFunction, zs: np.ndarray) -> np.ndarray:
-    """Vectorized complex log of the weighted values at many points."""
-    zs = np.asarray(zs, dtype=np.complex128)
+    """Complex logs of the weighted values at the complex128 points ``zs``, any shape."""
+    if not np.all(np.isfinite(zs)):
+        raise ValidationError("evaluation points must be finite")
     flat = zs.ravel()
     nterms = len(f.coeffs) if f.kind == "monomial" else len(f.nodes)
     chunk = max(1, int(4_000_000 // nterms))
@@ -394,7 +363,7 @@ def _eval_weighted_log_many(f: FockFunction, zs: np.ndarray) -> np.ndarray:
 
 def eval_weighted_log(f: FockFunction, z: complex) -> LogComplex:
     """Log form of ``exp(-alpha |z|^2 / 2) f(z)``."""
-    val = complex(_eval_weighted_log_many(f, np.array([z], dtype=np.complex128))[0])
+    val = complex(_eval_weighted_log_many(f, np.complex128(z)))
     return LogComplex(val.real, val.imag)
 
 
@@ -416,19 +385,22 @@ def eval_weighted(f: FockFunction, z) -> complex:
     return complex(out) if zs.ndim == 0 else out
 
 
-def eval(f: FockFunction, z: complex) -> complex:  # noqa: A001 - public API name
-    """Plain value ``f(z)``.
+def eval(f: FockFunction, z) -> complex:  # noqa: A001 - public API name
+    """Plain value ``f(z)``: the weighted log form plus ``alpha |z|^2 / 2``.
+
+    Accepts a point or an array of points, as :func:`eval_weighted` does.
 
     Raises
     ------
     Overflow
-        When ``|f(z)|`` exceeds the log-safe range; use
-        :func:`eval_weighted_log` for the bounded weighted value.
+        As :func:`_checked_exp`, when some ``|f(z)|`` exceeds the log-safe
+        range; fields ``log_mag`` and ``radius``. :func:`eval_weighted_log`
+        gives the bounded weighted value.
     """
-    w = eval_weighted_log(f, z)
-    z = complex(z)
-    lm = w.log_mag + 0.5 * f.alpha * (z.real**2 + z.imag**2)
-    return LogComplex(lm, w.phase).to_complex()
+    zs = np.asarray(z, dtype=np.complex128)
+    logs = _eval_weighted_log_many(f, zs) + 0.5 * f.alpha * (zs.real**2 + zs.imag**2)
+    out = _checked_exp(logs, zs, "value")
+    return complex(out) if zs.ndim == 0 else out
 
 
 def norm2(f: FockFunction) -> float:
@@ -437,54 +409,16 @@ def norm2(f: FockFunction) -> float:
     Exact coefficient Pythagoras for the monomial form; for kernel
     combinations the Gram quadratic form is accumulated in the log
     domain so only a genuinely out-of-range norm overflows.
-    """
-    if f.kind == "monomial":
-        return float(np.sqrt(np.sum(np.abs(f.coeffs) ** 2)))
-    half_log = 0.5 * _inner_log(f, f).real
-    if half_log >= MAX_EXP:
-        raise Overflow(f"norm log {half_log:.6g} exceeds the safe range")
-    return math.exp(half_log)
-
-
-def norm_inf(f: FockFunction, search_radius: float, grid_step: float) -> float:
-    """Grid estimate of the sup of the weighted modulus.
-
-    Scans a square grid of the given step over ``|x|,|y| <= search_radius``
-    and refines once with a 3x finer pass around the argmax. The result
-    is a lower estimate of the true sup that is monotone nondecreasing as
-    ``grid_step`` decreases.
 
     Raises
     ------
-    RadiusTooSmall
-        If ``search_radius`` does not cover the concentration radius
-        of ``f``, which would make the estimate unreliable.
+    Overflow
+        As :func:`_checked_exp`; field ``log_mag`` only, as the norm of a
+        kernel combination belongs to no point.
     """
-    search_radius = float(search_radius)
-    grid_step = float(grid_step)
-    if not (search_radius > 0.0 and math.isfinite(grid_step) and grid_step > 0.0):
-        raise ValidationError("search_radius must be positive, grid_step positive and finite")
-    need = concentration_radius(f)
-    if search_radius < need:
-        raise RadiusTooSmall(
-            f"search_radius {search_radius:g} is below the concentration "
-            f"radius {need:g}"
-        )
-
-    def best_on(xs, ys):
-        grid = xs[None, :] + 1j * ys[:, None]
-        lm = _eval_weighted_log_many(f, grid).real
-        k = int(np.argmax(lm))
-        return float(lm.ravel()[k]), complex(grid.ravel()[k])
-
-    half = int(math.floor(search_radius / grid_step))
-    axis = grid_step * np.arange(-half, half + 1, dtype=np.float64)
-    best_log, best_z = best_on(axis, axis)
-    fine = grid_step / 3.0
-    local = fine * np.arange(-3, 4, dtype=np.float64)
-    ref_log, _ = best_on(best_z.real + local, best_z.imag + local)
-    top = max(best_log, ref_log)
-    return 0.0 if top == -math.inf else math.exp(top)
+    if f.kind == "monomial":
+        return float(np.sqrt(np.sum(np.abs(f.coeffs) ** 2)))
+    return float(_checked_exp(0.5 * _inner_log(f, f).real, None, "norm"))
 
 
 def translate(f: FockFunction, a: complex) -> FockFunction:
@@ -497,30 +431,18 @@ def translate(f: FockFunction, a: complex) -> FockFunction:
     ------
     UnsupportedRepresentation
         For monomial input; translation does not preserve degree.
+    Overflow
+        As :func:`_checked_exp`, for a weight factor past the log-safe
+        range; fields ``log_mag`` and ``radius`` (``|zeta_j|`` of its node).
     """
     if f.kind != "kernel":
-        raise UnsupportedRepresentation(
-            "translate is defined for kernel combinations only"
-        )
+        raise UnsupportedRepresentation("translate is defined for kernel combinations only")
     a = complex(a)
     if a == 0:
         return f
     expo = -0.5 * f.alpha * (a.real**2 + a.imag**2) - f.alpha * np.conj(f.nodes) * a
-    if np.any(expo.real >= MAX_EXP):
-        raise Overflow("translation factor exceeds the safe exponent range")
-    return FockFunction.kernel_combo(f.alpha, f.nodes + a, f.weights * np.exp(expo))
-
-
-def _eval_monomial_direct(f: FockFunction, zs: np.ndarray) -> np.ndarray:
-    """Exact recurrence evaluation of a monomial-form function."""
-    zs = np.asarray(zs, dtype=np.complex128)
-    out = np.zeros_like(zs)
-    term = np.ones_like(zs)
-    out += f.coeffs[0] * term
-    for n in range(1, len(f.coeffs)):
-        term = term * zs * math.sqrt(f.alpha / n)
-        out += f.coeffs[n] * term
-    return out
+    factors = _checked_exp(expo, f.nodes, "translation factor")
+    return FockFunction.kernel_combo(f.alpha, f.nodes + a, f.weights * factors)
 
 
 def _inner_log(f: FockFunction, g: FockFunction) -> complex:
@@ -532,7 +454,7 @@ def _inner_log(f: FockFunction, g: FockFunction) -> complex:
     """
     e = f.alpha * np.conj(f.nodes)[:, None] * g.nodes[None, :]
     terms = _log(f.weights)[:, None] + np.conj(_log(g.weights))[None, :] + e
-    return complex(_combine_term_logs(terms.ravel()))
+    return _combine_term_logs(terms.ravel())
 
 
 def inner(f: FockFunction, g: FockFunction) -> complex:
@@ -540,13 +462,18 @@ def inner(f: FockFunction, g: FockFunction) -> complex:
 
     Monomial against monomial is the exact coefficient sum; kernel
     against kernel goes through the log-scaled kernel Gram matrix; the
-    mixed case applies the reproducing property of the kernel side, so
-    ``inner(f, kernel_combo(z, 1)) == f(z)`` holds to rounding.
+    mixed case applies the reproducing property of the kernel side,
+    ``sum_k conj(v_k) f(eta_k)`` with :func:`eval`, so
+    ``inner(f, kernel_combo(alpha, [z], [1])) == eval(f, z)`` exactly.
 
     Raises
     ------
     AlphaMismatch
         If the operands have different weight parameters.
+    Overflow
+        As :func:`eval` at the kernel nodes in the mixed case (fields
+        ``log_mag`` and ``radius``); kernel against kernel belongs to no
+        point (field ``log_mag`` only).
     """
     if f.alpha != g.alpha:
         raise AlphaMismatch(f"alpha {f.alpha:g} vs {g.alpha:g}")
@@ -554,11 +481,7 @@ def inner(f: FockFunction, g: FockFunction) -> complex:
         n = min(len(f.coeffs), len(g.coeffs))
         return complex(np.sum(f.coeffs[:n] * np.conj(g.coeffs[:n])))
     if f.kind == "kernel" and g.kind == "kernel":
-        total = _inner_log(f, g)
-        return LogComplex(total.real, total.imag).to_complex()
+        return complex(_checked_exp(_inner_log(f, g), None, "inner product"))
     if f.kind == "monomial":
-        vals = _eval_monomial_direct(f, g.nodes)
-        if not np.all(np.isfinite(vals)):
-            raise Overflow("monomial evaluation overflowed at a kernel node")
-        return complex(np.sum(np.conj(g.weights) * vals))
+        return complex(np.sum(np.conj(g.weights) * eval(f, g.nodes)))
     return complex(np.conj(inner(g, f)))

@@ -303,6 +303,14 @@ class TestInterpolationProblem:
                 gamma=sub_lattice(), alpha=alpha, lattice_spacing=SUB_SPACING, data={}
             )
 
+    @pytest.mark.parametrize("spacing", [math.inf, math.nan])
+    def test_rejects_non_finite_spacing(self, spacing):
+        # an infinite spacing would pass the regime guard as beta = 0
+        with pytest.raises(ValidationError, match="lattice_spacing must be positive and finite"):
+            InterpolationProblem(
+                gamma=sub_lattice(), alpha=ALPHA, lattice_spacing=spacing, data={}
+            )
+
 
 def sub_problem(radius, seed=7, window=20.0):
     gamma = sub_lattice(window)

@@ -309,6 +309,24 @@ class TestScaleToDensity:
         lat = SquareLattice(xs[1] - xs[0])
         assert lat.density == pytest.approx(1.2 / math.pi, rel=1e-13)
 
+    @pytest.mark.parametrize(
+        "alpha, ratio, named",
+        [
+            (math.inf, 1.0, "alpha"),
+            (math.nan, 1.0, "alpha"),
+            (0.0, 1.0, "alpha"),
+            (1.0, math.inf, "density_ratio"),
+            (1.0, math.nan, "density_ratio"),
+            (1.0, -2.0, "density_ratio"),
+            (1e-310, 1.0, r"alpha \* density_ratio"),  # spacing overflows
+            (1e-200, 1e-200, r"alpha \* density_ratio"),  # product underflows to 0
+            (1e200, 1e200, r"alpha \* density_ratio"),  # product overflows, spacing 0
+        ],
+    )
+    def test_rejects_bad_arguments(self, alpha, ratio, named):
+        with pytest.raises(errors.ValidationError, match=f"^{named} "):
+            pointsets.scale_lattice_to_density(alpha, ratio, 5.0)
+
 
 class TestPerturb:
     def test_zero_shift_identity(self):

@@ -24,6 +24,19 @@ def basis(alpha, n):
     return FockFunction.monomial(alpha, c)
 
 
+def direct_monomial(f, zs):
+    """Plain values of a monomial-form function by the recurrence
+    ``e_n(z) = e_(n-1)(z) z sqrt(alpha / n)``, independent of the log engine."""
+    zs = np.asarray(zs, dtype=np.complex128)
+    out = np.zeros_like(zs)
+    term = np.ones_like(zs)
+    out += f.coeffs[0] * term
+    for n in range(1, len(f.coeffs)):
+        term = term * zs * math.sqrt(f.alpha / n)
+        out += f.coeffs[n] * term
+    return out
+
+
 class TestLogComplex:
     def test_phase_reduction(self):
         assert LogComplex(0.0, -math.pi).phase == pytest.approx(math.pi)
@@ -32,50 +45,25 @@ class TestLogComplex:
         assert LogComplex(0.0, 2 * math.pi + 0.3).phase == pytest.approx(0.3)
 
     def test_zero_encoding(self):
-        z = LogComplex.from_complex(0.0)
+        z = LogComplex(-math.inf, 1.0)
         assert z.log_mag == -math.inf
         assert z.phase == 0.0
         assert z.to_complex() == 0j
 
     def test_round_trip(self):
         w = 2.5 * cmath.exp(1j * 0.7)
-        back = LogComplex.from_complex(w).to_complex()
+        back = LogComplex(math.log(2.5), 0.7).to_complex()
         assert abs(back - w) <= 1e-15 * abs(w)
 
     def test_overflow_guard(self):
-        with pytest.raises(errors.Overflow):
+        # the value belongs to no point, so no radius
+        with pytest.raises(errors.Overflow) as info:
             LogComplex(800.0, 0.0).to_complex()
-
-    def test_multiply(self):
-        a = LogComplex.from_complex(1 + 1j)
-        b = LogComplex.from_complex(2 - 0.5j)
-        prod = (a * b).to_complex()
-        assert abs(prod - (1 + 1j) * (2 - 0.5j)) <= 1e-14
+        assert info.value.fields == {"log_mag": 800.0}
 
     def test_rejects_nan(self):
         with pytest.raises(errors.ValidationError):
             LogComplex(math.nan, 0.0)
-
-    @given(
-        st.floats(-100, 100), st.floats(-math.pi, math.pi),
-        st.floats(-100, 100), st.floats(-math.pi, math.pi),
-    )
-    def test_mul_div_match_complex(self, la, pa, lb, pb):
-        # the logs add, so exp() carries their size as relative error
-        a, b = cmath.rect(math.exp(la), pa), cmath.rect(math.exp(lb), pb)
-        A, B = LogComplex.from_complex(a), LogComplex.from_complex(b)
-        tol = 8 * np.finfo(float).eps * (1 + abs(la) + abs(lb))
-        assert abs((A * B).to_complex() - a * b) <= tol * abs(a * b)
-        assert abs((A / B).to_complex() - a / b) <= tol * abs(a / b)
-
-    @given(st.floats(-100, 100), st.floats(-math.pi, math.pi))
-    def test_exact_zero(self, la, pa):
-        a = LogComplex.from_complex(cmath.rect(math.exp(la), pa))
-        zero = LogComplex.from_complex(0j)
-        assert (a * zero).to_complex() == 0j == (zero * a).to_complex()
-        assert (zero / a).to_complex() == 0j
-        with pytest.raises(ZeroDivisionError):
-            a / zero
 
 
 class TestLogFactorials:
@@ -145,7 +133,7 @@ class TestEval:
         f = FockFunction.monomial(1.3, c)
         for _ in range(25):
             z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            direct = space._eval_monomial_direct(f, np.array([z]))[0]
+            direct = direct_monomial(f, z)
             want = direct * math.exp(-1.3 * abs(z) ** 2 / 2)
             assert space.eval_weighted(f, z) == pytest.approx(want, rel=1e-12, abs=1e-15)
 
@@ -165,9 +153,10 @@ class TestEval:
         c = rng.normal(size=9) + 1j * rng.normal(size=9)
         f = FockFunction.monomial(0.7, c) if kind == "monomial" else combo(0.7, 3.0 * c, c[::-1])
         for z in rng.uniform(-6, 6, 20) + 1j * rng.uniform(-6, 6, 20):
-            one = space.eval_weighted(f, z)
-            assert type(one) is complex
-            assert one == space.eval_weighted(f, np.array([z]))[0]
+            for value in (space.eval_weighted, space.eval):
+                one = value(f, z)
+                assert type(one) is complex
+                assert one == value(f, np.array([z]))[0]
 
     @pytest.mark.parametrize("z", [30.0 + 0j, np.array([0.0, 30.0 + 0j])])
     def test_weighted_overflow_fields(self, z):
@@ -176,6 +165,17 @@ class TestEval:
         with pytest.raises(errors.Overflow) as info:
             space.eval_weighted(f, z)
         assert info.value.fields == {"log_mag": pytest.approx(1350.0), "radius": 30.0}
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+    @pytest.mark.parametrize("value", ["eval", "eval_weighted", "eval_weighted_log"])
+    def test_rejects_non_finite_points(self, value, bad):
+        # the log engine would otherwise hand back NaN
+        f = FockFunction.monomial(1.0, [1.0, 2.0])
+        with pytest.raises(errors.ValidationError, match="evaluation points must be finite"):
+            getattr(space, value)(f, bad)
+        if value != "eval_weighted_log":
+            with pytest.raises(errors.ValidationError, match="evaluation points must be finite"):
+                getattr(space, value)(f, np.array([0.5, bad]))
 
     def test_kernel_combo_weighted_log(self):
         # far node: weighted value huge but representable in log form
@@ -283,40 +283,6 @@ class TestCombineTermLogs:
             assert err <= 4 * n * eps + abs(exact) * last_place
 
 
-class TestNormInf:
-    def test_constant(self):
-        f = FockFunction.monomial(1.0, [1.0])
-        assert space.norm_inf(f, 5.0, 0.05) == pytest.approx(1.0, abs=1e-12)
-
-    def test_degree_one(self):
-        # max of |z| exp(-|z|^2/2) is exp(-1/2) near |z| = 1
-        f = FockFunction.monomial(1.0, [0.0, 1.0])
-        got = space.norm_inf(f, 5.0, 0.05)
-        assert got == pytest.approx(math.exp(-0.5), abs=2e-4)
-        assert got <= math.exp(-0.5) + 1e-12
-
-    def test_kernel_at_origin(self):
-        f = combo(1.0, [0.0], [1.0])
-        assert space.norm_inf(f, 5.0, 0.05) == pytest.approx(1.0, abs=1e-12)
-
-    def test_monotone_in_step(self):
-        f = FockFunction.monomial(1.0, np.array([0.3, -0.1, 0.8, 0.2j]))
-        coarse = space.norm_inf(f, 6.0, 0.2)
-        fine = space.norm_inf(f, 6.0, 0.05)
-        assert fine >= coarse - 1e-15
-
-    def test_radius_guard(self):
-        f = basis(1.0, 36)  # concentration radius 6 + 4
-        with pytest.raises(errors.RadiusTooSmall):
-            space.norm_inf(f, 5.0, 0.1)
-
-    @pytest.mark.parametrize("step", [math.inf, math.nan, 0.0, -1.0])
-    def test_rejects_bad_grid_step(self, step):
-        f = FockFunction.monomial(1.0, [1.0])
-        with pytest.raises(errors.ValidationError, match="grid_step"):
-            space.norm_inf(f, 5.0, step)
-
-
 class TestTranslate:
     def test_identity(self):
         f = combo(1.0, [1.0, 2.0], [1.0, -0.5j])
@@ -389,8 +355,18 @@ class TestInner:
             z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
             k = combo(1.0, [z], [1.0])
             got = space.inner(f, k)
-            want = space._eval_monomial_direct(f, np.array([z]))[0]
+            want = direct_monomial(f, z)
             assert abs(got - want) <= 1e-10 * (1 + abs(want))
+
+    def test_reproducing_property_is_exact(self):
+        # <f, K_z> is f(z) from the same log engine, bit for bit
+        rng = np.random.default_rng(19)
+        c = rng.normal(size=13) + 1j * rng.normal(size=13)
+        f = FockFunction.monomial(1.0, c)
+        for z in rng.uniform(-4, 4, 200) + 1j * rng.uniform(-4, 4, 200):
+            k = combo(1.0, [z], [1.0])
+            assert space.inner(f, k) == space.eval(f, z)
+            assert space.inner(k, f) == space.eval(f, z).conjugate()
 
     def test_reproducing_example(self):
         f = FockFunction.monomial(1.0, [1.0, 2.0])
@@ -414,6 +390,41 @@ class TestInner:
     def test_alpha_mismatch(self):
         with pytest.raises(errors.AlphaMismatch):
             space.inner(basis(1.0, 0), basis(2.0, 0))
+
+
+# f = K(40, .): |f(20)| = exp(800), ||f|| = exp(800), <f, f> = exp(1600)
+K40 = combo(1.0, [40.0], [1.0])
+# |e_200(300)| = 300^200 / sqrt(200!), about exp(709)
+E200_AT_300 = 200 * math.log(300.0) - 0.5 * math.lgamma(201.0)
+
+OVERFLOWS = {
+    "eval-point": (lambda: space.eval(K40, 20.0), 800.0, 20.0),
+    "eval-array": (lambda: space.eval(K40, np.array([0.0, 20.0])), 800.0, 20.0),
+    "kernel": (lambda: space.kernel(1.0, 30.0, 30.0), 900.0, 30.0),
+    "translate": (lambda: space.translate(K40, -40.0), 800.0, 40.0),
+    "norm2": (lambda: space.norm2(K40), 800.0, None),
+    "inner-kernel-kernel": (lambda: space.inner(K40, K40), 1600.0, None),
+    "inner-monomial-kernel": (
+        lambda: space.inner(basis(1.0, 200), combo(1.0, [300.0], [1.0])), E200_AT_300, 300.0
+    ),
+    "inner-kernel-monomial": (
+        lambda: space.inner(combo(1.0, [300.0], [1.0]), basis(1.0, 200)), E200_AT_300, 300.0
+    ),
+}
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("case", OVERFLOWS)
+    def test_fields(self, case):
+        """Every plain value leaves the log domain through one guard: its
+        Overflow carries log_mag, and radius where the value belongs to a point."""
+        call, log_mag, radius = OVERFLOWS[case]
+        with pytest.raises(errors.Overflow) as info:
+            call()
+        want = {"log_mag": pytest.approx(log_mag, rel=1e-12)}
+        if radius is not None:
+            want["radius"] = radius
+        assert info.value.fields == want
 
 
 class TestValidation:
