@@ -6,6 +6,11 @@ produce byte-for-byte identical artifacts. Complex values appear as
 ``[re, im]`` pairs. The standard json module cannot control float
 formatting, so a small recursive writer is used for output; parsing
 uses the standard module.
+
+A grid CSV repeats each coordinate along its row or column, so its x
+and y columns format each distinct value once (keyed by its bits, which
+keeps the spelling of ``-0.0`` and of NaN) and index the strings; the
+bytes are those of formatting every cell.
 """
 
 from __future__ import annotations
@@ -138,13 +143,45 @@ def point_set_from_doc(doc: dict) -> PointSet:
 
 
 def _csv(header: str, *columns) -> str:
-    """CSV text of a header line and equal-length columns of numbers in one
-    ``%`` format, ``%d`` for ints and ``%.17g`` else; no finite cell holds
-    ``nan`` or ``inf``, so ``_fmt``'s non-finite spellings replace them."""
+    """CSV text of a header line and equal-length columns in one ``%``
+    format: ``%d`` for ints, ``%s`` for the ``%.17g`` spellings of
+    :func:`_coordinates` and ``%.17g`` else; no finite cell holds ``nan``
+    or ``inf``, so ``_fmt``'s non-finite spellings replace them."""
     cells = tuple(chain.from_iterable(zip(*columns)))
-    row = ",".join("%d" if isinstance(c, int) else "%.17g" for c in cells[: len(columns)]) + "\n"
+    first = cells[: len(columns)]
+    kinds = ("%d" if isinstance(c, int) else "%s" if isinstance(c, str) else "%.17g" for c in first)
+    row = ",".join(kinds) + "\n"
     body = (row * (len(cells) // max(len(columns), 1))) % cells
-    return header + "\n" + body.replace("nan", "NaN").replace("inf", "Infinity")
+    if "n" in body:
+        body = body.replace("nan", "NaN").replace("inf", "Infinity")
+    return header + "\n" + body
+
+
+def _coordinates(values: np.ndarray) -> list[str]:
+    """The ``%.17g`` spellings of a float64 array of grid coordinates,
+    each distinct value formatted once. Values are keyed by their bits,
+    so ``0.0`` and ``-0.0`` stay apart, as do NaNs, which all spell
+    ``nan``."""
+    bits = values.view(np.uint64)
+    order = np.argsort(bits)
+    first = np.empty(bits.size, dtype=bool)
+    first[:1] = True
+    ranked = bits[order]
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    distinct = values[order[first]].tolist()
+    spellings = np.array(("%.17g\n" * len(distinct) % tuple(distinct)).split("\n")[:-1], dtype=object)
+    which = np.empty(bits.size, dtype=np.intp)
+    which[order] = np.cumsum(first) - 1
+    return spellings[which].tolist()
+
+
+def _grid_points(zs, values, what: str):
+    """Flat complex arrays of grid points and their values, one value per point."""
+    zs = np.asarray(zs, dtype=np.complex128).ravel()
+    values = np.asarray(values).ravel()
+    if zs.size != values.size:
+        raise ValidationError(f"{zs.size} grid points but {values.size} {what}")
+    return zs, values
 
 
 def point_set_csv(gamma: PointSet) -> str:
@@ -250,18 +287,23 @@ def density_table_csv(report: DensityReport) -> str:
 
 
 def eval_grid_csv(zs, values, alpha: float) -> str:
-    """CSV grid (x, y, re, im, weighted_mag) of function values."""
-    zs = np.asarray(zs).ravel()
-    values = np.asarray(values).ravel()
+    """CSV grid (x, y, re, im, weighted_mag) of function values.
+
+    Raises :class:`ValidationError` unless there is one value per point.
+    """
+    zs, values = _grid_points(zs, values, "values")
     wmag = np.exp(-0.5 * float(alpha) * np.abs(zs) ** 2) * np.abs(values)
-    cols = (zs.real, zs.imag, values.real, values.imag, wmag)
-    return _csv("x,y,re,im,weighted_mag", *(c.tolist() for c in cols))
+    xs, ys = _coordinates(zs.real), _coordinates(zs.imag)
+    return _csv("x,y,re,im,weighted_mag", xs, ys, *(c.tolist() for c in (values.real, values.imag, wmag)))
 
 
 def sigma_grid_csv(zs, logs) -> str:
     """CSV grid (x, y, log_mag, phase) of complex logs (real part log|.|,
-    -inf at an exact zero); phases are reduced to (-pi, pi], 0 at zeros."""
-    zs = np.asarray(zs).ravel()
-    logs = np.asarray(logs).ravel()
+    -inf at an exact zero); phases are reduced to (-pi, pi], 0 at zeros.
+
+    Raises :class:`ValidationError` unless there is one log per point.
+    """
+    zs, logs = _grid_points(zs, logs, "logs")
     phase = np.where(logs.real == -np.inf, 0.0, reduce_phase(logs.imag))
-    return _csv("x,y,log_mag,phase", *(c.tolist() for c in (zs.real, zs.imag, logs.real, phase)))
+    xs, ys = _coordinates(zs.real), _coordinates(zs.imag)
+    return _csv("x,y,log_mag,phase", xs, ys, logs.real.tolist(), phase.tolist())

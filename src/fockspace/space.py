@@ -72,6 +72,15 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
+def _finite_point(z, name: str) -> complex:
+    """``z`` as a complex number, which must be finite; ``name`` is the
+    argument's name in the :class:`ValidationError` otherwise."""
+    z = complex(z)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValidationError(f"{name} must be finite, got {z}")
+    return z
+
+
 @dataclass(frozen=True)
 class LogComplex:
     """Complex value stored as log-modulus and phase.
@@ -200,12 +209,15 @@ def kernel(alpha, z: complex, zeta: complex) -> complex:
 
     Raises
     ------
+    ValidationError
+        If ``z`` or ``zeta`` is not finite; the message names which.
     Overflow
         As :func:`_checked_exp`, when the log form ``alpha * conj(z) * zeta``
         passes the log-safe range; fields ``log_mag`` and ``radius`` (``|zeta|``).
     """
-    zeta = np.complex128(zeta)
-    log_form = _check_alpha(alpha) * complex(z).conjugate() * zeta
+    alpha = _check_alpha(alpha)
+    z, zeta = _finite_point(z, "z"), np.complex128(_finite_point(zeta, "zeta"))
+    log_form = alpha * z.conjugate() * zeta
     return complex(_checked_exp(log_form, zeta, "kernel"))
 
 
@@ -431,13 +443,15 @@ def translate(f: FockFunction, a: complex) -> FockFunction:
     ------
     UnsupportedRepresentation
         For monomial input; translation does not preserve degree.
+    ValidationError
+        If ``a`` is not finite.
     Overflow
         As :func:`_checked_exp`, for a weight factor past the log-safe
         range; fields ``log_mag`` and ``radius`` (``|zeta_j|`` of its node).
     """
     if f.kind != "kernel":
         raise UnsupportedRepresentation("translate is defined for kernel combinations only")
-    a = complex(a)
+    a = _finite_point(a, "a")
     if a == 0:
         return f
     expo = -0.5 * f.alpha * (a.real**2 + a.imag**2) - f.alpha * np.conj(f.nodes) * a

@@ -193,6 +193,40 @@ class TestSigmaOracle:
         assert abs(reduce_phase(got.phase - ph)) <= tol
 
 
+HALF_PI = math.pi / 2
+
+
+class TestThetaSeries:
+    """theta(v)/v of the truncated series against mpmath's theta_1."""
+
+    CORNERS = [complex(a, b) for a in (HALF_PI, -HALF_PI) for b in (HALF_PI, -HALF_PI)]
+    # either side of the 1e-9 slope branch, and far below it
+    TINY = [0.999e-9, 1.001e-9, 0.999e-9j, -1.001e-9j, complex(7e-10, 7e-10), 1e-12, 1e-12j, 1e-300, -1e-300j]
+
+    @staticmethod
+    def oracle(v):
+        with mpmath.workdps(30):
+            q = mpmath.exp(-mpmath.pi)
+            vc = mpmath.mpc(v.real, v.imag)
+            # theta_1 / (2 q^(1/4)); at |v| = 1e-300 the ratio is the slope
+            return mpmath.jtheta(1, vc, q) / (2 * q ** mpmath.mpf(0.25)) / vc
+
+    def _check(self, vs):
+        got = canonical._theta_over_v(np.asarray(vs, dtype=complex))
+        for v, g in zip(vs, got):
+            want = self.oracle(complex(v))
+            assert abs(mpmath.mpc(g.real, g.imag) - want) <= 2e-15 * abs(want), v
+
+    def test_cell_corners_and_small_arguments(self):
+        self._check(self.CORNERS + self.TINY)
+
+    def test_fundamental_cell(self):
+        rng = np.random.default_rng(5)
+        vs = HALF_PI * (rng.uniform(-1, 1, 200) + 1j * rng.uniform(-1, 1, 200))
+        edges = HALF_PI * np.array([1, -1, 1j, -1j, 0.5 + 1j, -1 - 0.25j])
+        self._check(np.concatenate([vs, edges]))
+
+
 class TestBruteForceProduct:
     def _check(self, gamma, s, M):
         cp = canonical_product(gamma, SquareLattice(s), M)
@@ -384,15 +418,9 @@ def test_near_field_chunks_do_not_change_a_bit(monkeypatch):
 
 def allocating_near_log(cp, zs, ratios):
     """The near-field kernel as it was before it wrote into a workspace:
-    fresh factor, numerator and halving arrays for every call."""
-    site, w, total = _sigma_parts(cp.lattice.spacing, zs)
-    divided = np.zeros(zs.shape, dtype=bool)
-    zero = np.zeros(zs.shape, dtype=bool)
-    if cp.z00 != 0:
-        lead = zs - cp.z00
-        divided |= site == 0
-        zero |= lead == 0
-        total = total + np.log(np.where(lead == 0, 1.0, lead)) - np.log(np.where(divided, 1.0, zs))
+    fresh factor, numerator and halving arrays for every call. The
+    per-point start and end, which use no workspace, are the kernel's own."""
+    site, w, total, divided, zero = canonical._point_logs(cp, zs)
     if ratios.size:
         width = -(-ratios.size // canonical._BLOCK) * canonical._BLOCK
         fac = np.empty((zs.size, width), dtype=complex)
@@ -414,10 +442,7 @@ def allocating_near_log(cp, zs, ratios):
             x = x[:, 0::2] * x[:, 1::2]
             width //= 2
         total = total + (np.sum(np.log(np.abs(x)), axis=1) + 1j * np.sum(np.angle(x), axis=1))
-    c0, c1, c2 = cp._poly
-    total = total + (c0 + zs * (c1 + zs * c2))
-    zero |= (w == 0) & ~divided
-    return total + np.log(np.where(divided | (w == 0), 1.0, w)), zero
+    return canonical._closing_logs(cp, zs, w, total, divided, zero)
 
 
 def assert_same_bits(got, want):
@@ -514,6 +539,15 @@ class TestWorkspaceKernelOracle:
 
 
 class TestSigma:
+    @pytest.mark.parametrize(
+        "bad", [complex(v, 0.0) for v in (math.nan, math.inf, -math.inf)]
+        + [complex(0.0, v) for v in (math.nan, math.inf, -math.inf)],
+    )
+    def test_rejects_non_finite_points(self, bad):
+        # the theta series would otherwise warn and return a nan log_mag
+        with pytest.raises(ValidationError, match="^z must be finite"):
+            sigma_log(SquareLattice(1.0), bad)
+
     def test_exact_zero_on_lattice(self):
         lat = SquareLattice(1.0)
         for m, n in [(0, 0), (3, 2), (-5, 1), (7, -7)]:

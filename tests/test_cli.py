@@ -800,15 +800,26 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
 
-    def test_runs_without_scipy_or_lazy_imports(self, tmp_path):
+    def test_runs_without_scipy_or_lazy_imports(self, tmp_path, recon_problem, interp_problem):
         # A fresh interpreter, so modules the test session imported do not
-        # count. main must load neither scipy nor the numpy submodules and
-        # stdlib modules it would otherwise import lazily on first use.
+        # count. No subcommand may load scipy, or the numpy submodules and
+        # stdlib modules it would otherwise import lazily on first use
+        # (np.unique, for one, imports numpy.ma).
+        lat = tmp_path / "lat"
         script = f"""
 import sys
 import fockspace.cli as cli
 before = set(sys.modules)
 for argv in (
+    ["lattice", "--density-ratio", "1.2", "--window", "8", "--perturb", "0.2",
+     "--seed", "3", "--format", "csv", "--out", {str(lat)!r}],
+    ["density", "--in", {str(lat / "points.csv")!r}, "--window", "8",
+     "--radii", "2:4:1", "--out", {str(tmp_path / "density")!r}],
+    ["reconstruct", "--in", {str(recon_problem)!r}, "--truncation-radius", "6",
+     "--grid=-1,1,-1,1,0.5", "--out", {str(tmp_path / "rec")!r}],
+    ["interpolate", "--in", {str(interp_problem)!r}, "--truncation-radius", "6",
+     "--grid=-1,1,-1,1,0.5", "--degree", "3", "--out", {str(tmp_path / "interp")!r}],
+    ["sigma-grid", "--spacing", "1", "--grid=-1,1,-1,1,0.25", "--out", {str(tmp_path / "sigma")!r}],
     ["growth-check", "--alpha", "3.14159", "--spacing", "1", "--window", "8",
      "--perturb", "0.2", "--seed", "3", "--grid-radius", "4", "--grid-step", "0.25",
      "--out", {str(tmp_path / "growth")!r}],

@@ -2,9 +2,12 @@
 
 import json
 import math
+from itertools import chain
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fockspace import io
 from fockspace.errors import ValidationError
@@ -175,12 +178,58 @@ class TestProblemDocs:
 # cells whose spelling a one-format CSV writer must keep: the non-finite
 # ones, a signed zero, the smallest subnormal and the largest double
 EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308, 0.1, -1e16, 2.5e-300]
+# grid coordinates and values: a few repeated spellings, edge cells, any double
+GRID_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -1.25] + EDGE_FLOATS), st.floats(allow_nan=True))
 
 
 def per_cell_csv(header, rows):
     """CSV text with every cell through ``_fmt`` and ints as such."""
     lines = [header] + [",".join(str(c) if isinstance(c, int) else io._fmt(c) for c in row) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def every_cell_csv(header: str, *columns) -> str:
+    """The grid writers' CSV as it was before each distinct coordinate was
+    formatted once: every cell through one ``%.17g`` format."""
+    cells = tuple(chain.from_iterable(zip(*columns)))
+    body = (",".join(["%.17g"] * len(columns)) + "\n") * (len(cells) // len(columns)) % cells
+    return header + "\n" + body.replace("nan", "NaN").replace("inf", "Infinity")
+
+
+def every_cell_eval_grid_csv(zs, values, alpha):
+    zs, values = np.asarray(zs).ravel(), np.asarray(values).ravel()
+    wmag = np.exp(-0.5 * float(alpha) * np.abs(zs) ** 2) * np.abs(values)
+    cols = (zs.real, zs.imag, values.real, values.imag, wmag)
+    return every_cell_csv("x,y,re,im,weighted_mag", *(c.tolist() for c in cols))
+
+
+def every_cell_sigma_grid_csv(zs, logs):
+    zs, logs = np.asarray(zs).ravel(), np.asarray(logs).ravel()
+    phase = np.where(logs.real == -np.inf, 0.0, io.reduce_phase(logs.imag))
+    return every_cell_csv("x,y,log_mag,phase", *(c.tolist() for c in (zs.real, zs.imag, logs.real, phase)))
+
+
+def complexes(re, im):
+    """Complex array with exactly these parts (``re + 1j*im`` turns an
+    infinite part into a nan in the other)."""
+    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def assert_grid_writers_agree(zs, values):
+    """Both grid writers equal the per-cell spelling and the every-cell writer."""
+    with np.errstate(all="ignore"):  # |z|^2 of the largest double overflows
+        got = eval_grid_csv(zs, values, 0.5)
+        assert got == every_cell_eval_grid_csv(zs, values, 0.5)
+        wmag = np.exp(-0.25 * np.abs(zs) ** 2) * np.abs(values)
+        rows = zip(zs.real.tolist(), zs.imag.tolist(), values.real.tolist(), values.imag.tolist(), wmag.tolist())
+        assert got == per_cell_csv("x,y,re,im,weighted_mag", rows)
+        got = sigma_grid_csv(zs, values)
+        assert got == every_cell_sigma_grid_csv(zs, values)
+        phase = np.where(values.real == -np.inf, 0.0, io.reduce_phase(values.imag))
+        rows = zip(zs.real.tolist(), zs.imag.tolist(), values.real.tolist(), phase.tolist())
+        assert got == per_cell_csv("x,y,log_mag,phase", rows)
 
 
 class TestCsvTables:
@@ -225,6 +274,42 @@ class TestCsvTables:
         assert lines[1] == "0,0,-Infinity,0"
         assert float(lines[1].split(",")[2]) == -math.inf
         assert [float(p) for p in lines[2].split(",")] == [1.0, 0.0, 0.5, math.pi]
+
+    def test_grid_coordinates_formatted_once_keep_their_spelling(self):
+        # every coordinate repeats along the grid, 0.0 next to -0.0
+        axis = np.array(EDGE_FLOATS + [0.0, 0.1, -0.0])
+        zs = complexes(axis[None, :], axis[:, None]).ravel()
+        rng = np.random.default_rng(3)
+        values = complexes(rng.choice(axis, zs.size), rng.normal(size=zs.size))
+        assert_grid_writers_agree(zs, values)
+        # and points whose x coordinates are all distinct
+        assert_grid_writers_agree(complexes(rng.normal(size=40), axis.repeat(4)[:40]), values[:40])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        xs=st.lists(GRID_FLOATS, min_size=1, max_size=5),
+        ys=st.lists(GRID_FLOATS, min_size=1, max_size=5),
+        data=st.data(),
+    )
+    def test_grid_writers_equal_every_cell_writer(self, xs, ys, data):
+        zs = complexes(np.array(xs)[None, :], np.array(ys)[:, None]).ravel()
+        parts = st.lists(GRID_FLOATS, min_size=zs.size, max_size=zs.size)
+        values = complexes(np.array(data.draw(parts)), np.array(data.draw(parts)))
+        assert_grid_writers_agree(zs, values)
+
+    @pytest.mark.parametrize("count", [2, 4, 1], ids=["fewer", "more", "one"])
+    def test_grid_writers_need_one_value_per_point(self, count):
+        zs = np.array([0, 1, 2 + 1j])
+        values = np.ones(count, dtype=complex)
+        with pytest.raises(ValidationError, match=f"^3 grid points but {count} values$"):
+            eval_grid_csv(zs, values, 1.0)
+        with pytest.raises(ValidationError, match=f"^3 grid points but {count} logs$"):
+            sigma_grid_csv(zs, values)
+
+    def test_empty_grid_is_the_header(self):
+        empty = np.array([], dtype=complex)
+        assert eval_grid_csv(empty, empty, 1.0) == "x,y,re,im,weighted_mag\n"
+        assert sigma_grid_csv(empty, empty) == "x,y,log_mag,phase\n"
 
     def test_frame_table_layout(self):
         text = frame_table_csv([(8, 0.5, 1.5), (16, 0.25, 1.75)])

@@ -14,6 +14,14 @@ from fockspace import errors, space
 from fockspace.space import FockFunction, LogComplex
 
 
+# nan and +-inf in either part of a point
+NON_FINITE_POINTS = [
+    complex(v, 0.0) if real else complex(0.0, v)
+    for real in (True, False)
+    for v in (math.nan, math.inf, -math.inf)
+]
+
+
 def combo(alpha, nodes, weights):
     return FockFunction.kernel_combo(alpha, nodes, weights)
 
@@ -99,6 +107,14 @@ class TestKernel:
         assert space.kernel(a, z, w) == pytest.approx(
             space.kernel(a, w, z).conjugate(), rel=1e-14
         )
+
+    @pytest.mark.parametrize("bad", NON_FINITE_POINTS)
+    @pytest.mark.parametrize("name", ["z", "zeta"])
+    def test_rejects_non_finite_points(self, name, bad):
+        # the log form would otherwise come back nan+nanj
+        args = {"z": 1.0, "zeta": 1.0, name: bad}
+        with pytest.raises(errors.ValidationError, match=f"^{name} must be finite"):
+            space.kernel(1.0, args["z"], args["zeta"])
 
 
 class TestEval:
@@ -338,6 +354,12 @@ class TestTranslate:
     def test_monomial_rejected(self):
         with pytest.raises(errors.UnsupportedRepresentation):
             space.translate(FockFunction.monomial(1.0, [1.0]), 1.0)
+
+    @pytest.mark.parametrize("bad", NON_FINITE_POINTS)
+    def test_rejects_non_finite_shift(self, bad):
+        f = combo(1.0, [1.0, 2.0], [1.0, -0.5j])
+        with pytest.raises(errors.ValidationError, match="^a must be finite"):
+            space.translate(f, bad)
 
 
 class TestInner:
