@@ -24,7 +24,12 @@ U_2n(cos v)`` (Chebyshev polynomials of the second kind) the series is
 ``sin``/``cos`` of ``Re v`` and ``sinh``/``cosh`` of ``Im v``, none of
 which can overflow on the cell, where ``|Im v| <= pi/2``. Every complex
 log here is :func:`space._log`, ``log|.|`` plus the angle, which costs
-about a tenth of numpy's complex log. The product then differs from
+about a tenth of numpy's complex log, but for the logs of displaced
+ratios near 1 that the constants below sum by the thousand: they are
+:func:`space._log1p` of the ratio's offset from 1, formed from
+``lambda - p``, since ``log|.|`` of a ratio near 1 is off by up to an
+ulp of 1 and the rounding of the ratio itself by as much again. The
+product then differs from
 ``sigma * (z - z00)/z`` by a finite product of ratios, one for each
 index where the set differs from the lattice. A ratio moves the zero at
 site ``lambda`` to the root ``p``:
@@ -71,7 +76,9 @@ of their logs would lose digits to cancellation. The factor that
 vanishes at a point (a root equal to z, or a ratio whose site is the
 lattice site nearest z) is found by lookup in sorted arrays, not by
 comparing every (point, ratio) pair. Both lie within ``h + s/2`` of the
-centre, so they are always near.
+centre, so they are always near. The vanishing factor's derivative takes
+its place, so where g vanishes the pass returns log g'(z): the node
+derivatives of a Lagrange series come from the grid's own tiles.
 
 The factors, numerators and halved products of all chunks of a call
 share one workspace, allocated once at the size of the largest chunk,
@@ -94,8 +101,8 @@ from .errors import (
     PointNotInSet,
     ValidationError,
 )
-from .pointsets import PointSet, SquareLattice, nearest_distance, separation
-from .space import LogComplex, _check_alpha, _disk_grid, _finite_point, _log, reduce_phase
+from .pointsets import PointSet, SquareLattice, nearest_distance
+from .space import LogComplex, _check_alpha, _disk_grid, _finite_point, _log, _log1p, reduce_phase
 
 __all__ = [
     "CanonicalProduct",
@@ -301,20 +308,11 @@ class CanonicalProduct:
     z00: complex
     z00_index: tuple
     closeness_Q: float
-    separation_q: float
-    _index_of: dict
     _roots: np.ndarray
     _sites: np.ndarray
     _root_keys: _SortedKeys
     _site_keys: _SortedKeys
     _poly: tuple
-
-    def node_at(self, m: int, n: int) -> complex:
-        """The point (or completing lattice site) at index (m, n)."""
-        key = (int(m), int(n))
-        if key in self._index_of:
-            return complex(self.gamma.points[self._index_of[key]])
-        return self.lattice.point(*key)
 
     def __repr__(self):
         return (
@@ -354,7 +352,6 @@ def canonical_product(
             closeness=q_max,
             spacing=s,
         )
-    sep = separation(gamma) if len(gamma) >= 2 else math.inf
 
     # closest point to 0; ties broken by the smaller canonical phase
     absv = np.abs(gamma.points)
@@ -362,7 +359,6 @@ def canonical_product(
     pos = int(np.lexsort((phases, absv))[0])
     z00 = complex(gamma.points[pos])
     z00_index = (int(gamma.indices[pos, 0]), int(gamma.indices[pos, 1]))
-    index_of = {(int(m), int(n)): i for i, (m, n) in enumerate(gamma.indices)}
 
     # Ratios: the displaced points; then the lattice sites that carry no
     # zero of g: interior sites the set lacks (removed points) and the
@@ -386,10 +382,10 @@ def canonical_product(
     ratio_sites = np.concatenate([moved_sites, lambdas[bare]])
 
     # the polynomial parts: log(lambda/p) + z (1/p - 1/lambda) displaced,
-    # -z/lambda - z^2/(2 lambda^2) bare
+    # -z/lambda - z^2/(2 lambda^2) bare; lambda/p is 1 + (lambda - p)/p
     inv_bare = 1.0 / lambdas[bare]
     poly = (
-        np.sum(_log(moved_sites / roots)),
+        np.sum(_log1p((moved_sites - roots) / roots)),
         np.sum(1.0 / roots - 1.0 / moved_sites) - np.sum(inv_bare),
         -0.5 * np.sum(inv_bare**2),
     )
@@ -399,8 +395,6 @@ def canonical_product(
         z00=z00,
         z00_index=z00_index,
         closeness_Q=q_max,
-        separation_q=sep,
-        _index_of=index_of,
         _roots=roots,
         _sites=ratio_sites,
         _root_keys=_SortedKeys.of(roots),
@@ -543,7 +537,9 @@ def _far_series(cp: CanonicalProduct, centre: complex, ratios: np.ndarray) -> np
     x = 1.0 / (cp._sites[ratios] - centre)
     y = np.zeros_like(x)
     y[:k] = 1.0 / (cp._roots[ratios[:k]] - centre)
-    const = np.sum(_log(x[:k] / y[:k])) + np.sum(_log(cp._sites[ratios[k:]] * x[k:]))
+    # x/y is 1 + (p - lambda) x
+    const = np.sum(_log1p((cp._roots[ratios[:k]] - cp._sites[ratios[:k]]) * x[:k]))
+    const += np.sum(_log(cp._sites[ratios[k:]] * x[k:]))
     sums = np.empty(_SERIES_ORDER, dtype=np.complex128)
     px, py = x, y
     for j in range(_SERIES_ORDER):
@@ -554,8 +550,9 @@ def _far_series(cp: CanonicalProduct, centre: complex, ratios: np.ndarray) -> np
     return np.append(sums[::-1] / np.arange(_SERIES_ORDER, 0, -1), const)
 
 
-def _gfun_log_many(cp: CanonicalProduct, zs: np.ndarray) -> np.ndarray:
-    """Complex log of g at many points (phase not yet reduced).
+def _tiled_logs(cp: CanonicalProduct, zs: np.ndarray):
+    """Complex logs of g at many points (phase not yet reduced), and
+    zero flags; where g vanishes the log is that of g'(z).
 
     Per tile of points, the near ratios are multiplied out in blocks and
     the far ones enter through one Taylor series about the tile's
@@ -580,14 +577,23 @@ def _gfun_log_many(cp: CanonicalProduct, zs: np.ndarray) -> np.ndarray:
     cells = [_work_cells(min(chunk, idx.size), ratios.size) for idx, _, ratios, _, chunk in plan]
     work = np.empty(max(cells, default=0), dtype=np.complex128)
     out = np.empty(zs.shape, dtype=np.complex128)
+    zero = np.empty(zs.shape, dtype=bool)
     for idx, centre, ratios, series, chunk in plan:
         for start in range(0, idx.size, chunk):
             sub = idx[start : start + chunk]
             part = zs[sub]
-            near, zero = _near_log(cp, part, ratios, work)
+            near, zero[sub] = _near_log(cp, part, ratios, work)
             if series is not None:
                 near = near + np.polyval(series, part - centre)
-            out[sub] = np.where(zero, -np.inf, near)
+            out[sub] = near
+    return out, zero
+
+
+def _gfun_log_many(cp: CanonicalProduct, zs: np.ndarray) -> np.ndarray:
+    """Complex log of g at many points (phase not yet reduced), ``-inf``
+    where g vanishes: the values of :func:`_tiled_logs`."""
+    out, zero = _tiled_logs(cp, zs)
+    out[zero] = -np.inf
     return out
 
 
@@ -603,38 +609,35 @@ def gfun_log(cp: CanonicalProduct, z: complex) -> LogComplex:
     return LogComplex(val.real, val.imag)
 
 
-def _node_derivative_logs(cp: CanonicalProduct, indices) -> np.ndarray:
-    """Complex logs of g'(z_mn) at the nodes of an (n, 2) index array.
+def _node_derivative_logs(cp: CanonicalProduct, nodes) -> np.ndarray:
+    """Complex logs of g'(z) at an array of zeros of g, the nodes.
 
     At a simple zero the derivative is the product of all remaining
-    factors times the derivative of the vanishing one, so it is
-    evaluated in log form over every ratio rather than by differencing,
-    for all nodes in one near-field call. At an undisplaced node the
-    vanishing factor is sigma's, and sigma'(lambda) follows in closed
-    form from the quasi-period law. Phases are reduced to (-pi, pi].
-
-    Raises
-    ------
-    PointNotInSet
-        If an index does not belong to the point set; field ``index``,
-        that ``[m, n]``.
+    factors times the derivative of the vanishing one, so it is taken in
+    log form, not by differencing, by the tiled pass that evaluates g on
+    a grid (:func:`_tiled_logs`). At an undisplaced node the vanishing
+    factor is sigma's, and sigma'(lambda) follows in closed form from
+    the quasi-period law. Phases are reduced to (-pi, pi].
     """
-    pos = []
-    for m, n in np.asarray(indices, dtype=np.int64).reshape(-1, 2).tolist():
-        if (m, n) not in cp._index_of:
-            raise PointNotInSet(f"index ({m}, {n}) is not in the point set", index=[m, n])
-        pos.append(cp._index_of[(m, n)])
-    zq = cp.gamma.points[pos]
-    every = np.arange(cp._sites.size)
-    work = np.empty(_work_cells(zq.size, every.size), dtype=np.complex128)
-    total = _near_log(cp, zq, every, work)[0]
+    total = _tiled_logs(cp, nodes)[0]
     return total.real + 1j * reduce_phase(total.imag)
 
 
 def gfun_derivative_at_node(cp: CanonicalProduct, node_index) -> LogComplex:
-    """Log form of g'(z_mn) at a simple zero; the one-node case of
-    :func:`_node_derivative_logs`, with the same errors."""
-    total = complex(_node_derivative_logs(cp, [node_index])[0])
+    """Log form of g'(z_mn) at the point of index (m, n), a simple zero;
+    the one-node case of :func:`_node_derivative_logs`.
+
+    Raises
+    ------
+    PointNotInSet
+        If the index does not belong to the point set; field ``index``,
+        that ``[m, n]``.
+    """
+    m, n = np.asarray(node_index, dtype=np.int64).reshape(2).tolist()
+    hit = np.flatnonzero((cp.gamma.indices == [m, n]).all(axis=1))
+    if not hit.size:
+        raise PointNotInSet(f"index ({m}, {n}) is not in the point set", index=[m, n])
+    total = complex(_node_derivative_logs(cp, cp.gamma.points[hit[:1]])[0])
     return LogComplex(total.real, total.imag)
 
 

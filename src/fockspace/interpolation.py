@@ -121,13 +121,14 @@ def _require_interpolation_regime(beta: float, alpha: float):
 
 
 def _gather(gamma: PointSet, data: dict, radius: float, what: str):
-    """Points of gamma within ``radius``, their indices and their ``data`` values.
+    """Points of gamma within ``radius`` and their ``data`` values.
 
     Raises
     ------
     ValidationError
-        If ``radius`` is not positive and finite, or no point of the set
-        lies within it, so a series would have no term.
+        If ``radius`` is not positive and finite, no point of the set
+        lies within it, so a series would have no term, or a value is
+        not finite; field ``point``, that point's ``[x, y]``.
     MissingSamples
         If some point within the radius has no value in ``data``; fields
         ``missing`` (how many) and ``radius``.
@@ -147,7 +148,11 @@ def _gather(gamma: PointSet, data: dict, radius: float, what: str):
             radius=radius,
         )
     values = np.array([complex(data[complex(p)]) for p in nodes], dtype=np.complex128)
-    return nodes, gamma.indices[inside], values
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        point = complex(nodes[bad[0]])
+        raise ValidationError(f"the {what} at {point} is not finite", point=[point.real, point.imag])
+    return nodes, values
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -171,10 +176,10 @@ class _LagrangeBasis:
     def of(cls, gamma: PointSet, spacing: float, data: dict, radius: float, what: str, kappa: float):
         """The basis on the points of gamma within ``radius`` and their
         ``data`` values, checked by :func:`_gather` before g is built."""
-        nodes, node_indices, values = _gather(gamma, data, radius, what)
+        nodes, values = _gather(gamma, data, radius, what)
         # the ignored third argument is read by perfbench's span counter
         cp = canonical_product(gamma, SquareLattice(spacing), 1)
-        return cls(cp, nodes, _node_derivative_logs(cp, node_indices), kappa), values
+        return cls(cp, nodes, _node_derivative_logs(cp, nodes), kappa), values
 
     def series(self, coeff_logs: np.ndarray, zs: np.ndarray) -> np.ndarray:
         """Complex log of ``sum_i c_i L_i`` at ``zs`` in blocks of ``_SERIES_CELLS``
@@ -234,8 +239,9 @@ def lagrange_reconstruct(gamma: PointSet, alpha: float, samples: dict, z, trunca
         sampled point passes the double range.
     ValidationError
         If a query leaves the interior, or as :func:`_gather`: the
-        truncation radius is not positive and finite, or no point of
-        the set lies within it, so the series would have no term.
+        truncation radius is not positive and finite, no point of the
+        set lies within it, so the series would have no term, or a
+        sample is not finite.
     """
     alpha = _check_alpha(alpha)
     spacing = _fitted_spacing(gamma)
@@ -336,7 +342,7 @@ class InterpolantEvaluator:
     def with_data(self, data: dict) -> "InterpolantEvaluator":
         """Evaluator for new targets on the same nodes, basis reused."""
         problem = replace(self.problem, data=data)
-        _, _, targets = _gather(problem.gamma, data, self.truncation_radius, "datum")
+        _, targets = _gather(problem.gamma, data, self.truncation_radius, "datum")
         return replace(self, problem=problem, _targets=targets)
 
     def eval(self, z):

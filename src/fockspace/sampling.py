@@ -102,6 +102,8 @@ def frame_bounds(gamma: PointSet, alpha: float, N: int, window_radius: float) ->
 
     Raises
     ------
+    ValidationError
+        If ``window_radius`` is not finite, or N is negative.
     WindowTooSmall
         If the window does not contain the point set; fields
         ``window_radius`` and ``farthest``, the largest point modulus.
@@ -111,6 +113,8 @@ def frame_bounds(gamma: PointSet, alpha: float, N: int, window_radius: float) ->
     if N < 0:
         raise ValidationError("degree must be nonnegative")
     window_radius = float(window_radius)
+    if not math.isfinite(window_radius):
+        raise ValidationError(f"window_radius must be finite, got {window_radius:g}")
     top = float(np.max(np.abs(gamma.points)))
     if top > window_radius * (1.0 + 1e-12):
         raise WindowTooSmall(

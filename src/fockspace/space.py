@@ -264,6 +264,19 @@ def _log(values) -> np.ndarray:
         return np.log(np.abs(values)) + 1j * np.angle(values)
 
 
+def _log1p(values) -> np.ndarray:
+    """Complex ``log(1 + w)`` of an array of ``w`` with ``|w| < 1``.
+
+    ``log|1 + w|`` is ``log1p(|1 + w|^2 - 1) / 2``, with ``|1 + w|^2 - 1``
+    formed as ``a (a + 2) + b^2`` from ``w = a + ib``: near ``w = 0`` it
+    keeps an ulp of itself, where :func:`_log` of ``1 + w`` is off by up
+    to an ulp of 1, which a sum of many such logs accumulates.
+    """
+    w = np.asarray(values, dtype=np.complex128)
+    a, b = w.real, w.imag
+    return 0.5 * np.log1p(a * (a + 2.0) + b * b) + 1j * np.arctan2(b, 1.0 + a)
+
+
 # Stirling-series coefficients and log(sqrt(2 pi)) of cephes ``lgam``.
 _LGAM_A = (
     8.11614167470508450300e-4,

@@ -27,8 +27,8 @@ from fockspace.errors import (
     PointNotInSet,
     ValidationError,
 )
-from fockspace.pointsets import PointSet, SquareLattice, perturb, square_lattice
-from fockspace.space import reduce_phase
+from fockspace.pointsets import PointSet, SquareLattice, perturb, scale_lattice_to_density, square_lattice
+from fockspace.space import _disk_grid, reduce_phase
 
 
 def sigma_oracle(z, s):
@@ -332,7 +332,7 @@ class TestBlockedKernelOracle:
             for p in gam.points
         ])
         assert_logs_agree(got, want)
-        assert_logs_agree(_node_derivative_logs(cp, gam.indices), want)
+        assert_logs_agree(_node_derivative_logs(cp, gam.points), want)
 
 
 class TestTileExpansionOracle:
@@ -497,7 +497,7 @@ class TestWorkspaceKernelOracle:
         assert_same_bits(_gfun_log_many(cp, zs), allocating_gfun(monkeypatch, cp, zs))
         want = allocating_near_log(cp, cp.gamma.points, np.arange(cp._sites.size))[0]
         want = want.real + 1j * reduce_phase(want.imag)
-        assert_same_bits(_node_derivative_logs(cp, cp.gamma.indices), want)
+        assert_same_bits(_node_derivative_logs(cp, cp.gamma.points), want)
 
     def test_widths_that_shrink_then_grow(self, monkeypatch):
         # one workspace for a run of kernel calls whose near widths and
@@ -529,13 +529,99 @@ class TestWorkspaceKernelOracle:
         # two products evaluated in turn equal each evaluated alone
         a, za, _ = self._case("removed", 1.0)
         b, zb, _ = self._case("translated", 1e3)
-        alone = [_gfun_log_many(a, za), _node_derivative_logs(a, a.gamma.indices)]
-        alone_b = [_gfun_log_many(b, zb), _node_derivative_logs(b, b.gamma.indices)]
+        alone = [_gfun_log_many(a, za), _node_derivative_logs(a, a.gamma.points)]
+        alone_b = [_gfun_log_many(b, zb), _node_derivative_logs(b, b.gamma.points)]
         for _ in range(2):
             assert_same_bits(_gfun_log_many(a, za), alone[0])
             assert_same_bits(_gfun_log_many(b, zb), alone_b[0])
-            assert_same_bits(_node_derivative_logs(a, a.gamma.indices), alone[1])
-            assert_same_bits(_node_derivative_logs(b, b.gamma.indices), alone_b[1])
+            assert_same_bits(_node_derivative_logs(a, a.gamma.points), alone[1])
+            assert_same_bits(_node_derivative_logs(b, b.gamma.points), alone_b[1])
+
+
+def window_forty_nodes():
+    """A perturbed density-1.5 set of window 40 (2 392 displaced points) and
+    its 1 940 points within 36, which fall into several tiles, most of them
+    with a far series."""
+    s = math.sqrt(math.pi / 1.5)
+    gam = perturb(scale_lattice_to_density(1.0, 1.5, 40.0), 0.2 * s, seed=3)
+    cp = canonical_product(gam, SquareLattice(s))
+    nodes = gam.points[np.abs(gam.points) <= 36.0]
+    far = [
+        np.any(np.abs(cp._sites - centre) >= 2.0 * half + s / 2.0)
+        for idx, centre, half in _tiles(nodes)
+        if idx.size >= canonical._SERIES_ORDER
+    ]
+    assert nodes.size == 1940 and sum(far) >= 2
+    return cp, nodes
+
+
+class TestTiledNodeDerivatives:
+    """Node derivatives from the tiled pass on a node set of several tiles."""
+
+    def test_matches_per_ratio_reference(self):
+        cp, nodes = window_forty_nodes()
+        want = np.concatenate(
+            [reference_near_log(cp, part, cp._sites.size)[0] for part in np.array_split(nodes, 20)]
+        )
+        assert_logs_agree(_node_derivative_logs(cp, nodes), want)
+
+    def test_matches_allocating_kernel_through_the_tiles(self, monkeypatch):
+        cp, nodes = window_forty_nodes()
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                canonical, "_near_log", lambda cp, zs, ratios, work: allocating_near_log(cp, zs, ratios)
+            )
+            want = _node_derivative_logs(cp, nodes)
+        assert_same_bits(_node_derivative_logs(cp, nodes), want)
+
+    def test_chunks_do_not_change_a_bit(self, monkeypatch):
+        cp, nodes = window_forty_nodes()
+        whole = _node_derivative_logs(cp, nodes)
+        monkeypatch.setattr(canonical, "_CHUNK_CELLS", 5000)
+        assert_same_bits(_node_derivative_logs(cp, nodes), whole)
+
+
+def mp(z):
+    return mpmath.mpc(complex(z).real, complex(z).imag)
+
+
+class TestNearUnitLogSums:
+    """The constants that sum about 1 250 logs of ratios near 1, against
+    mpmath at 40 digits from the doubles lambda, p and the tile centre c,
+    on the growth-check sets of the benchmark's two seeds."""
+
+    @staticmethod
+    def _product(seed):
+        return canonical_product(perturb(square_lattice(1.0, 20.0), 0.2, seed=seed), SquareLattice(1.0))
+
+    @pytest.mark.parametrize("seed", [958438296, 1563192034])
+    def test_product_constant(self, seed):
+        cp = self._product(seed)
+        with mpmath.workdps(40):
+            want = mpmath.fsum(mpmath.log(mp(lam) / mp(p)) for lam, p in zip(cp._sites, cp._roots))
+            assert cp._roots.size > 1000
+            assert abs(mp(cp._poly[0]) - want) <= 4e-16
+
+    @pytest.mark.parametrize("seed", [958438296, 1563192034])
+    def test_far_series_constants(self, seed):
+        cp = self._product(seed)
+        k = cp._roots.size
+        checked = 0
+        for idx, centre, half in _tiles(_disk_grid(12.0, 0.15)):
+            far = np.flatnonzero(np.abs(cp._sites - centre) >= 2.0 * half + 0.5)
+            if idx.size < canonical._SERIES_ORDER or not far.size:
+                continue
+            const = canonical._far_series(cp, centre, far)[-1]
+            with mpmath.workdps(40):
+                c = mp(centre)
+                want = mpmath.fsum(
+                    mpmath.log((mp(cp._roots[j]) - c) / (mp(cp._sites[j]) - c)) if j < k
+                    else mpmath.log(mp(cp._sites[j]) / (mp(cp._sites[j]) - c))
+                    for j in far
+                )
+                assert abs(mp(const) - want) <= 4e-16
+            checked += 1
+        assert checked >= 10
 
 
 class TestSigma:
@@ -649,17 +735,13 @@ class TestCanonicalProductBuild:
         assert cp.z00 == 0.0
         assert cp.z00_index == (0, 0)
         assert cp.closeness_Q == 0.0
-        assert cp.separation_q == 1.0
         assert cp._sites.size == 0  # the set differs from the lattice nowhere
-        assert cp.node_at(3, -2) == lat.point(3, -2)
-        assert cp.node_at(20, 0) == lat.point(20, 0)
 
     def test_fields_for_perturbed_lattice(self):
         lat = SquareLattice(1.0)
         gam = perturb(square_lattice(1.0, 8.0), 0.2, seed=5)
         cp = canonical_product(gam, lat, 30)
         assert 0.0 < cp.closeness_Q <= 0.2
-        assert cp.separation_q >= 1.0 - 2 * cp.closeness_Q - 1e-12
         assert abs(cp.z00) <= 0.2
 
     def test_z00_tie_breaks_by_phase(self):

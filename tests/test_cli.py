@@ -517,6 +517,35 @@ class TestReconstruct:
         assert doc["log_mag"] >= MAX_EXP
         assert doc["message"].startswith("reconstruction log modulus ")
 
+    @pytest.mark.parametrize(
+        "bad", [complex(v, 0.0) for v in (math.nan, math.inf, -math.inf)]
+        + [complex(0.0, v) for v in (math.nan, math.inf, -math.inf)],
+    )
+    def test_non_finite_sample_exits_2_without_files(self, tmp_path, capsys, bad):
+        # otherwise a NaN report and NaN grid rows would pass as a success
+        node = complex(SUPER_SPACING, 0.0)
+        problem = write_problem(
+            tmp_path / "bad.json", SUPER_SPACING, 8.0, lambda z: bad if z == node else 1.0 + 0.0j
+        )
+        out = tmp_path / "fresh"
+        rc = main(
+            [
+                "reconstruct",
+                "--in",
+                str(problem),
+                "--truncation-radius",
+                "7",
+                "--grid=-1,1,-1,1,0.5",
+                "--out",
+                str(out),
+            ]
+        )
+        assert rc == 2
+        assert not out.exists()
+        doc = error_doc(capsys, "point")
+        assert doc["error"] == "ValidationError"
+        assert doc["point"] == [node.real, node.imag]
+
     def test_grid_clipped_to_interior(self, tmp_path, recon_problem):
         rc = main(
             [

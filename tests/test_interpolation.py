@@ -32,6 +32,10 @@ ALPHA = 1.0
 SUPER_SPACING = math.sqrt(math.pi / 1.5)
 SUB_SPACING = math.sqrt(math.pi / 0.8)
 
+NON_FINITE = [complex(v, 0.0) for v in (math.nan, math.inf, -math.inf)] + [
+    complex(0.0, v) for v in (math.nan, math.inf, -math.inf)
+]
+
 # below this the radius trends sit at the floating-point floor of the
 # exact node identities and carry no truncation signal
 EXACTNESS_FLOOR = 1e-10
@@ -149,6 +153,17 @@ class TestLagrangeReconstruct:
         assert info.value.radius == abs(z)
         node = complex(gamma.points[np.argmin(np.abs(gamma.points - SUPER_SPACING))])
         assert lagrange_reconstruct(gamma, ALPHA, samples, node, 8.0) == samples[node]
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_rejects_non_finite_sample(self, bad):
+        # one such sample would otherwise make every value NaN, quietly
+        gamma = scale_lattice_to_density(ALPHA, 1.5, 8.0)
+        samples = samples_for(gamma, lambda p: 1.0, 7.0)
+        node = complex(gamma.points[np.argmin(np.abs(gamma.points - SUPER_SPACING))])
+        samples[node] = bad
+        with pytest.raises(ValidationError, match=r"^the sample at .* is not finite$") as info:
+            lagrange_reconstruct(gamma, ALPHA, samples, np.array([SUPER_SPACING, 0.1]), 7.0)
+        assert info.value.fields == {"point": [node.real, node.imag]}
 
     def test_array_matches_scalar(self):
         gamma = super_lattice()

@@ -179,6 +179,19 @@ class TestFrameBounds:
             frame_bounds(square_lattice(1.0, 8.0), 1.0, 8, 5.0)
         assert info.value.fields == {"window_radius": 5.0, "farthest": 8.0}
 
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_window(self, radius):
+        # otherwise nan fails later with a message naming nothing passed,
+        # and inf gives an estimate marked reliable
+        with pytest.raises(ValidationError, match="^window_radius must be finite") as info:
+            frame_bounds(square_lattice(1.0, 4.0), 1.0, 8, radius)
+        assert not isinstance(info.value, WindowTooSmall)
+
+    @pytest.mark.parametrize("radius", [0.0, -0.0, -1.0])
+    def test_zero_or_negative_window_is_too_small(self, radius):
+        with pytest.raises(WindowTooSmall):
+            frame_bounds(square_lattice(1.0, 4.0), 1.0, 8, radius)
+
     def test_estimate_invariant(self):
         with pytest.raises(ValidationError):
             FrameEstimate(
