@@ -26,7 +26,7 @@ from fockspace import (
 gamma = square_lattice(1.0, 40.0)
 print("unit lattice:", len(gamma), "points, separation", separation(gamma))
 
-report = density_estimate(gamma, [2.5, 5.0, 10.0, 20.0], 0.25)
+report = density_estimate(gamma, [2.5, 5.0, 10.0, 20.0])
 print("square counts n-(r), n+(r) against side length:")
 for r, lo, hi, ok in zip(
     report.radii, report.n_minus, report.n_plus, report.reliable
@@ -43,7 +43,7 @@ bumped = perturb(gamma, 0.3, seed=42)
 print("after perturbation by at most 0.3:")
 print("  separation:", separation(bumped))
 print("  closeness to the lattice:", closeness(bumped, SquareLattice(1.0))[0])
-rep2 = density_estimate(bumped, [5.0, 10.0, 20.0], 0.25)
+rep2 = density_estimate(bumped, [5.0, 10.0, 20.0])
 print("  density estimates:", rep2.d_minus_estimate, rep2.d_plus_estimate)
 
 # scale_lattice_to_density targets a density relative to alpha/pi. At

@@ -27,7 +27,7 @@ print(f"{'ratio':>6} {'N':>4} {'A':>12} {'B':>12}")
 for ratio in (0.8, 1.0, 1.2):
     gamma = scale_lattice_to_density(alpha, ratio, window)
     for N in (8, 16, 24):
-        est = frame_bounds(gamma, alpha, N, window)
+        est = frame_bounds(gamma, alpha, N)
         print(f"{ratio:6.1f} {N:4d} {est.A:12.6f} {est.B:12.6f}")
     print()
 

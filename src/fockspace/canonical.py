@@ -145,11 +145,6 @@ _BLOCK = 16
 _CHUNK_CELLS = 150_000
 
 
-def _check_M(M) -> None:
-    if M is not None and int(M) < 1:
-        raise ValidationError("M must be a positive integer")
-
-
 def _sigma_parts(spacing: float, zs: np.ndarray):
     """Split log sigma(z) as ``log(w) + rest`` over an array of points.
 
@@ -202,7 +197,7 @@ def _theta_over_v(v: np.ndarray) -> np.ndarray:
     return np.where(small, _THETA_SLOPE, theta / np.where(small, 1.0, v))
 
 
-def quasi_period_constants(lattice: SquareLattice, M: int | None = None):
+def quasi_period_constants(lattice: SquareLattice):
     """Constants eta1, eta2 of the lattice translation law.
 
     They are defined by ``sigma(z+s) = -sigma(z) exp(eta1 (z + s/2))``
@@ -210,27 +205,20 @@ def quasi_period_constants(lattice: SquareLattice, M: int | None = None):
     lattice of spacing s they are ``pi/s`` and ``-i pi/s`` exactly, which
     satisfy the quarter-turn symmetry ``eta2 = -i eta1`` and the
     Legendre-type relation ``eta1 (is) - eta2 s = 2 pi i``.
-
-    ``M`` is deprecated and ignored; a value below 1 still raises
-    :class:`ValidationError`.
     """
-    _check_M(M)
     s = lattice.spacing
     return complex(math.pi / s, 0.0), complex(0.0, -math.pi / s)
 
 
-def sigma_log(lattice: SquareLattice, z: complex, M: int | None = None) -> LogComplex:
+def sigma_log(lattice: SquareLattice, z: complex) -> LogComplex:
     """Log form of the lattice sigma function at ``z``.
 
     The argument is reduced to the fundamental cell centered at the
     origin with the quasi-period law, and sigma is summed there from its
-    Jacobi theta_1 closed form. Lattice points return an exact zero.
-
-    ``M`` is deprecated and ignored, since the closed form has no
-    truncation; a value below 1 still raises :class:`ValidationError`,
-    as does a ``z`` that is not finite.
+    Jacobi theta_1 closed form, which has no truncation. Lattice points
+    return an exact zero; a ``z`` that is not finite raises
+    :class:`ValidationError`.
     """
-    _check_M(M)
     z = _finite_point(z, "z")
     total = complex(_sigma_log_many(lattice.spacing, np.array([z]))[0])
     return LogComplex(total.real, total.imag)
@@ -339,7 +327,8 @@ def canonical_product(
         which would break the index bijection; fields ``closeness`` (the
         largest stray) and ``spacing``.
     """
-    _check_M(truncation_index)
+    if truncation_index is not None and int(truncation_index) < 1:
+        raise ValidationError("M must be a positive integer")
     if gamma.indices is None:
         raise NodeIndexMissing("canonical products need a lattice-indexed set")
     s = lattice.spacing

@@ -55,7 +55,6 @@ from .pointsets import (
     SquareLattice,
     density_estimate,
     perturb,
-    scale_lattice_to_density,
     separation,
     square_lattice,
 )
@@ -72,7 +71,6 @@ _POSITIVE_FLAGS = (
     "truncation_radius",
     "grid_radius",
     "grid_step",
-    "translate_step",
 )
 
 
@@ -99,8 +97,9 @@ def _parse_int_list(text: str, flag: str) -> list:
     return values
 
 
-# Most points a --radii ladder or a --grid may hold. Counts are checked
-# before anything is allocated, so a tiny step is an error, not a hang.
+# Most points a --radii ladder, a --grid, a lattice's index square or
+# growth-check's disk grid may hold. Counts are checked before anything
+# is allocated, so a tiny step is an error, not a hang.
 _MAX_POINTS = 1_000_000
 
 
@@ -110,6 +109,13 @@ def _count(lo: float, hi: float, step: float, flag: str) -> int:
     if not span < _MAX_POINTS:
         raise ValidationError(f"{flag} asks for more than {_MAX_POINTS} points")
     return int(math.floor(span)) + 1
+
+
+def _check_square(half: float, what: str) -> None:
+    """Reject an index square of side 2 floor(half) + 1 over _MAX_POINTS points."""
+    side = 2 * math.floor(min(half, _MAX_POINTS)) + 1
+    if side * side > _MAX_POINTS:
+        raise ValidationError(f"{what} asks for more than {_MAX_POINTS} points")
 
 
 def _parse_radii(text: str) -> list:
@@ -153,12 +159,14 @@ def _built_set(args) -> tuple:
     """Point set from --spacing or --alpha/--density-ratio flags."""
     if (args.spacing is None) == (args.density_ratio is None):
         raise ValidationError("give exactly one of --spacing or --density-ratio")
-    if args.spacing is not None:
-        spacing = args.spacing
-        gamma = square_lattice(spacing, args.window)
-    else:
-        gamma = scale_lattice_to_density(args.alpha, args.density_ratio, args.window)
-        spacing = math.sqrt(math.pi / (args.alpha * args.density_ratio))
+    spacing = args.spacing
+    if spacing is None:
+        product = args.alpha * args.density_ratio
+        if not 0.0 < product < math.inf:
+            raise ValidationError(f"--alpha * --density-ratio = {product:g} has no finite spacing")
+        spacing = math.sqrt(math.pi / product)
+    _check_square(args.window / spacing, f"a spacing-{spacing:g} lattice in window {args.window:g}")
+    gamma = square_lattice(spacing, args.window)
     if args.perturb is not None:
         if args.seed is None:
             raise ValidationError("--perturb needs --seed for reproducibility")
@@ -225,7 +233,7 @@ def _cmd_lattice(args):
 def _cmd_density(args):
     gamma = _load_point_set(args.infile, args.window)
     radii = _parse_radii(args.radii)
-    report = density_estimate(gamma, radii, args.translate_step)
+    report = density_estimate(gamma, radii)
     return density_report_to_doc(report), {"density_table.csv": density_table_csv(report)}
 
 
@@ -235,7 +243,7 @@ def _cmd_frame(args):
     rows = []
     last = None
     for degree in ladder:
-        last = frame_bounds(gamma, args.alpha, degree, gamma.window_radius)
+        last = frame_bounds(gamma, args.alpha, degree)
         rows.append((degree, last.A, last.B))
     results = {
         "spacing": spacing,
@@ -317,14 +325,13 @@ def _cmd_sigma_grid(args):
 
 
 def _cmd_growth_check(args):
+    _check_square(args.grid_radius / args.grid_step, "--grid-radius over --grid-step")
     gamma, spacing = _built_set(args)
-    # M only fills the report's truncation_index field; the product ignores it
-    M = int(math.ceil(2.0 * args.grid_radius / spacing)) + 20
-    cp = canonical_product(gamma, SquareLattice(spacing), M)
+    # the ignored third argument is read by perfbench's span counter
+    cp = canonical_product(gamma, SquareLattice(spacing), 1)
     fit = growth_check(cp, args.alpha, args.grid_radius, args.grid_step)
     results = {
         "spacing": spacing,
-        "truncation_index": M,
         "c": fit.c,
         "C1": fit.C1,
         "C2": fit.C2,
@@ -379,9 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True, help="point-set file")
     p.add_argument("--window", type=float, help="window radius for CSV input")
     p.add_argument("--radii", default="5:15:1", help='radius ladder "start:stop:step"')
-    p.add_argument(
-        "--translate-step", type=float, default=0.25, help="ignored; must be positive and finite"
-    )
     p.add_argument("--out", default=".")
 
     p = sub.add_parser("frame", help="frame bounds along a degree ladder")

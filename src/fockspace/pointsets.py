@@ -131,6 +131,8 @@ class SquareLattice:
         s = float(self.spacing)
         if not (math.isfinite(s) and s > 0.0):
             raise ValidationError("spacing must be positive and finite")
+        if s * s == 0.0 or 1.0 / (s * s) == math.inf:
+            raise ValidationError(f"spacing {s:g} gives no finite density 1/s^2")
         object.__setattr__(self, "spacing", s)
         object.__setattr__(self, "density", 1.0 / (s * s))
 
@@ -177,8 +179,9 @@ def square_lattice(spacing: float, window_radius: float) -> PointSet:
     EmptyWindow
         If ``window_radius`` is negative.
     ValidationError
-        If ``spacing`` is not positive and finite, or ``window_radius``
-        is not finite.
+        If ``spacing`` is not positive and finite, ``window_radius`` is
+        not finite, or numpy cannot hold the ``(2 floor(w/s) + 1)**2``
+        index square the lattice is cut from.
     """
     s = float(spacing)
     if not (math.isfinite(s) and s > 0.0):
@@ -188,9 +191,15 @@ def square_lattice(spacing: float, window_radius: float) -> PointSet:
         raise EmptyWindow(f"window_radius {w:g} is negative")
     if not math.isfinite(w):
         raise ValidationError(f"window_radius must be finite, got {w:g}")
-    kmax = int(math.floor(w / s))
-    rng = np.arange(-kmax, kmax + 1, dtype=np.int64)
-    m, n = np.meshgrid(rng, rng)  # row index varies over n
+    # numpy refuses an oversized count before allocating anything
+    try:
+        kmax = int(math.floor(w / s))
+        rng = np.arange(-kmax, kmax + 1, dtype=np.int64)
+        m, n = np.meshgrid(rng, rng)  # row index varies over n
+    except (OverflowError, ValueError):
+        raise ValidationError(
+            f"spacing {s:g} is too fine for window {w:g}: numpy cannot build the index square"
+        ) from None
     m = m.ravel()
     n = n.ravel()
     keep = (m.astype(np.float64) ** 2 + n.astype(np.float64) ** 2) * s * s <= w * w
@@ -459,7 +468,7 @@ def _with_midpoints(values: np.ndarray) -> np.ndarray:
     return _sorted_unique(np.concatenate([values, mids]))
 
 
-def counts(gamma: PointSet, r: float, translate_step: float):
+def counts(gamma: PointSet, r: float):
     """Exact extremal counts of points in a translated half-open square.
 
     Scans all translates ``t`` for which ``t + [0, r] x [0, r]`` fits
@@ -468,9 +477,8 @@ def counts(gamma: PointSet, r: float, translate_step: float):
     edge crosses a point coordinate or the feasibility boundary crosses
     such an event line, so the ``t_x`` events (``x``, ``x - r``, the
     crossings and the ends of the feasible interval) and the midpoints
-    between them are exhaustive; ``translate_step`` is checked to be
-    positive and otherwise ignored, since a grid of translates adds no
-    count. Candidate ``t_x`` sharing one column of points
+    between them are exhaustive: a grid of translates adds no count.
+    Candidate ``t_x`` sharing one column of points
     ``t_x <= x < t_x + r`` share its counts, and their ``t_y`` candidates
     are the y-events in the widest feasible interval ``[-g, g - r]`` plus
     every translate's ends: the intervals are nested about ``-r/2``, also
@@ -497,11 +505,11 @@ def counts(gamma: PointSet, r: float, translate_step: float):
     WindowTooSmall
         When no translate fits in the window; fields ``square_side``, ``window_radius``.
     ValidationError
-        When ``r`` or ``translate_step`` is not positive.
+        When ``r`` is not positive.
     """
     r = float(r)
-    if not (r > 0.0 and float(translate_step) > 0.0):
-        raise ValidationError("r and translate_step must be positive")
+    if not r > 0.0:
+        raise ValidationError("r must be positive")
     w = gamma.window_radius
     tol = 16.0 * np.finfo(np.float64).eps * (1.0 + w + r)
     xspan = _feasible_x_interval(w, r)
@@ -575,7 +583,7 @@ def counts(gamma: PointSet, r: float, translate_step: float):
     return n_min, n_max
 
 
-def density_estimate(gamma: PointSet, radii, translate_step: float) -> DensityReport:
+def density_estimate(gamma: PointSet, radii) -> DensityReport:
     """Lower/upper uniform density estimates from extremal counts.
 
     For each radius the exact ``n_minus(r)``/``n_plus(r)`` are computed;
@@ -583,8 +591,6 @@ def density_estimate(gamma: PointSet, radii, translate_step: float) -> DensityRe
     instead of failing. The reported estimates are the extreme values of
     ``n(r)/r**2`` over the largest third of the reliable radii, which is
     where the finite-window counts are closest to their limits.
-    ``translate_step`` is passed to :func:`counts`, which checks that it
-    is positive and otherwise ignores it.
     """
     radii = [float(r) for r in radii]
     if any(b <= a for a, b in zip(radii, radii[1:])):
@@ -592,7 +598,7 @@ def density_estimate(gamma: PointSet, radii, translate_step: float) -> DensityRe
     found = {}
     for r in radii:
         try:
-            found[r] = counts(gamma, r, translate_step)
+            found[r] = counts(gamma, r)
         except WindowTooSmall:
             pass
     tail = list(found)[(2 * len(found)) // 3 :]

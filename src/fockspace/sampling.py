@@ -25,12 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    AlphaMismatch,
     PointNotInSet,
     QuadratureOrderTooLow,
     UnsupportedRepresentation,
     ValidationError,
-    WindowTooSmall,
 )
 from .pointsets import PointSet
 from .space import FockFunction, _check_alpha, _monomial_logs, eval_weighted, norm2, translate
@@ -97,32 +95,21 @@ def _degree_ladder(N: int):
     return ladder
 
 
-def frame_bounds(gamma: PointSet, alpha: float, N: int, window_radius: float) -> FrameEstimate:
+def frame_bounds(gamma: PointSet, alpha: float, N: int) -> FrameEstimate:
     """Estimate the sampling constants of a point set at degree N.
+
+    ``unreliable`` compares the test subspace's concentration radius
+    with the set's own window.
 
     Raises
     ------
     ValidationError
-        If ``window_radius`` is not finite, or N is negative.
-    WindowTooSmall
-        If the window does not contain the point set; fields
-        ``window_radius`` and ``farthest``, the largest point modulus.
+        If alpha is not positive and finite, or N is negative.
     """
     alpha = _check_alpha(alpha)
     N = int(N)
     if N < 0:
         raise ValidationError("degree must be nonnegative")
-    window_radius = float(window_radius)
-    if not math.isfinite(window_radius):
-        raise ValidationError(f"window_radius must be finite, got {window_radius:g}")
-    top = float(np.max(np.abs(gamma.points)))
-    if top > window_radius * (1.0 + 1e-12):
-        raise WindowTooSmall(
-            f"window radius {window_radius:g} does not contain the point "
-            f"set (farthest point at {top:g})",
-            window_radius=window_radius,
-            farthest=top,
-        )
     effective = math.sqrt(N / alpha) + 4.0 / math.sqrt(alpha)
     table = []
     for d in _degree_ladder(N):
@@ -135,28 +122,27 @@ def frame_bounds(gamma: PointSet, alpha: float, N: int, window_radius: float) ->
         B=b_final,
         degree=N,
         effective_radius=effective,
-        window_radius=window_radius,
+        window_radius=gamma.window_radius,
         convergence_table=tuple(table),
-        unreliable=effective > window_radius,
+        unreliable=effective > gamma.window_radius,
     )
 
 
-def norm_decomposition_check(f: FockFunction, alpha: float, K: int) -> float:
+def norm_decomposition_check(f: FockFunction, K: int) -> float:
     """Relative gap of the square-tiling decomposition of the norm.
 
     The norm integral splits over translates of the square R of side
-    ``sqrt(1/alpha)`` centered on the lattice of the same spacing; each
-    cell integral equals the integral of a translated function over the
-    fixed square R and is computed by an order-24 tensor Gauss-Legendre
-    rule. Returns ``|norm2(f)^2 - sum of cells| / norm2(f)^2`` over the
-    cells with ``|k|, |l| <= K``, which tends to 0 as K grows.
+    ``sqrt(1/alpha)``, for the function's own ``alpha``, centered on the
+    lattice of the same spacing; each cell integral equals the integral
+    of a translated function over the fixed square R and is computed by
+    an order-24 tensor Gauss-Legendre rule. Returns
+    ``|norm2(f)^2 - sum of cells| / norm2(f)^2`` over the cells with
+    ``|k|, |l| <= K``, which tends to 0 as K grows.
 
     Raises
     ------
     UnsupportedRepresentation
         If f is not in kernel-combination form.
-    AlphaMismatch
-        If alpha differs from the function's parameter.
     QuadratureOrderTooLow
         If doubling the rule order moves any cell integral by more
         than 1e-10 relative.
@@ -170,9 +156,7 @@ def norm_decomposition_check(f: FockFunction, alpha: float, K: int) -> float:
         raise UnsupportedRepresentation(
             "norm decomposition needs a kernel-combination function"
         )
-    alpha = float(alpha)
-    if alpha != f.alpha:
-        raise AlphaMismatch(f"alpha {alpha:g} differs from the function's {f.alpha:g}")
+    alpha = f.alpha
     K = int(K)
     if K < 0:
         raise ValidationError("cell range K must be nonnegative")
@@ -235,7 +219,7 @@ def point_removal_experiment(gamma: PointSet, alpha: float, N: int, removed: com
         raise PointNotInSet(
             f"{removed} is not a point of the set", point=[removed.real, removed.imag]
         )
-    before = frame_bounds(gamma, alpha, N, gamma.window_radius)
+    before = frame_bounds(gamma, alpha, N)
     keep = np.ones(len(gamma), dtype=bool)
     keep[pos[0]] = False
     if not np.any(keep):
@@ -256,5 +240,5 @@ def point_removal_experiment(gamma: PointSet, alpha: float, N: int, removed: com
         gamma.window_radius,
         indices=None if gamma.indices is None else gamma.indices[keep],
     )
-    after = frame_bounds(trimmed, alpha, N, gamma.window_radius)
+    after = frame_bounds(trimmed, alpha, N)
     return before, after

@@ -246,9 +246,19 @@ def _checked_exp(logs: np.ndarray, zs: np.ndarray | None, what: str) -> np.ndarr
 
 
 def _disk_grid(radius: float, step: float) -> np.ndarray:
-    """The points ``step (m + i n)`` with ``|z| <= radius``, row-major in (n, m)."""
-    half = int(math.floor(radius / step))
-    axis = step * np.arange(-half, half + 1, dtype=np.float64)
+    """The points ``step (m + i n)`` with ``|z| <= radius``, row-major in (n, m).
+
+    Raises :class:`ValidationError` where numpy cannot build the axis of
+    ``2 floor(radius/step) + 1`` points.
+    """
+    # numpy refuses an oversized count before allocating anything
+    try:
+        half = int(math.floor(radius / step))
+        axis = step * np.arange(-half, half + 1, dtype=np.float64)
+    except (OverflowError, ValueError):
+        raise ValidationError(
+            f"grid_step {step:g} is too fine for radius {radius:g}: numpy cannot build the axis"
+        ) from None
     grid = (axis[None, :] + 1j * axis[:, None]).ravel()
     return grid[np.abs(grid) <= radius]
 

@@ -131,7 +131,7 @@ def test_criterion_02_density_estimator():
     for s in (1.0, math.sqrt(math.pi)):
         gamma = square_lattice(s, 60.0 * s)
         radii = [r * s for r in (2.5, 5.0, 10.0, 15.0, 20.0)]
-        rep = density_estimate(gamma, radii, 0.25 * s)
+        rep = density_estimate(gamma, radii)
         want = 1.0 / s**2
         assert abs(rep.d_minus_estimate - want) <= 0.03 * want
         assert abs(rep.d_plus_estimate - want) <= 0.03 * want
@@ -158,24 +158,24 @@ def test_criterion_03_sigma_canonical_product_suite():
     lat = SquareLattice(1.0)
 
     for m, n in ((0, 0), (3, -2), (-7, 5)):
-        assert sigma_log(lat, lat.point(m, n), 25).log_mag == -math.inf
+        assert sigma_log(lat, lat.point(m, n)).log_mag == -math.inf
 
     gamma = square_lattice(1.0, 25.0)
     cp = canonical_product(gamma, lat, 25)
     d0 = gfun_derivative_at_node(cp, (0, 0)).to_complex()
     assert abs(d0 - 1.0) <= 1e-8
 
-    eta1, eta2 = quasi_period_constants(lat, 25)
+    eta1, eta2 = quasi_period_constants(lat)
     legendre = abs(eta1 * 1j - eta2 * 1.0 - 2j * math.pi)
     assert legendre <= 1e-10
 
     alpha_crit = math.pi
     worst_per = 0.0
     for z in (0.31 + 0.17j, -0.42 + 0.77j, 1.13 - 0.64j):
-        base = sigma_log(lat, z, 25)
+        base = sigma_log(lat, z)
         wm = math.exp(base.log_mag - alpha_crit * abs(z) ** 2 / 2.0)
         for p in (1.0, 1.0j, 1.0 + 1.0j):
-            shifted = sigma_log(lat, z + p, 25)
+            shifted = sigma_log(lat, z + p)
             wm2 = math.exp(shifted.log_mag - alpha_crit * abs(z + p) ** 2 / 2.0)
             worst_per = max(worst_per, abs(wm2 - wm))
     assert worst_per <= 1e-9
@@ -183,7 +183,7 @@ def test_criterion_03_sigma_canonical_product_suite():
     worst_red = 0.0
     for z in (0.4 + 0.3j, -1.6 + 2.2j, 3.1 - 0.9j):
         g = gfun_log(cp, complex(z))
-        sig = sigma_log(lat, complex(z), 25)
+        sig = sigma_log(lat, complex(z))
         worst_red = max(
             worst_red,
             abs(g.log_mag - sig.log_mag),
@@ -240,7 +240,7 @@ def test_criterion_05_frame_dichotomy_surrogate():
     for ratio in (0.8, 1.0, 1.2):
         gamma = scale_lattice_to_density(ALPHA, ratio, 14.0)
         for N in (16, 24):
-            a[(ratio, N)] = frame_bounds(gamma, ALPHA, N, 14.0).A
+            a[(ratio, N)] = frame_bounds(gamma, ALPHA, N).A
     assert a[(1.2, 16)] > 0 and a[(1.2, 24)] > 0
     stability = abs(a[(1.2, 24)] - a[(1.2, 16)]) / a[(1.2, 16)]
     assert stability <= 0.30
@@ -370,7 +370,7 @@ def test_criterion_08_interpolation():
 def test_criterion_09_norm_decomposition():
     t0 = time.perf_counter()
     k0 = FockFunction.kernel_combo(ALPHA, [0.0j], [1.0])
-    gaps = [norm_decomposition_check(k0, ALPHA, K) for K in (0, 2, 4, 8)]
+    gaps = [norm_decomposition_check(k0, K) for K in (0, 2, 4, 8)]
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] <= 1e-8
     elapsed = time.perf_counter() - t0

@@ -637,22 +637,22 @@ class TestSigma:
     def test_exact_zero_on_lattice(self):
         lat = SquareLattice(1.0)
         for m, n in [(0, 0), (3, 2), (-5, 1), (7, -7)]:
-            val = sigma_log(lat, lat.point(m, n), 20)
+            val = sigma_log(lat, lat.point(m, n))
             assert val.log_mag == -math.inf
         lat7 = SquareLattice(0.7)
-        assert sigma_log(lat7, lat7.point(-2, 4), 20).log_mag == -math.inf
+        assert sigma_log(lat7, lat7.point(-2, 4)).log_mag == -math.inf
 
     def test_behaves_like_z_near_origin(self):
         lat = SquareLattice(1.0)
         h = 1e-6
-        val = sigma_log(lat, h, 25).to_complex()
+        val = sigma_log(lat, h).to_complex()
         assert abs(val / h - 1.0) < 1e-10
 
     def test_odd_function(self):
         lat = SquareLattice(1.0)
         for z in (0.3 + 0.4j, -0.45 + 0.1j, 1.7 - 2.2j):
-            a = sigma_log(lat, z, 25)
-            b = sigma_log(lat, -z, 25)
+            a = sigma_log(lat, z)
+            b = sigma_log(lat, -z)
             assert abs(a.log_mag - b.log_mag) < 1e-11
             dphase = abs(reduce_phase(a.phase - b.phase))
             assert abs(dphase - math.pi) < 1e-11
@@ -662,18 +662,18 @@ class TestSigma:
         lat1 = SquareLattice(1.0)
         lat7 = SquareLattice(0.7)
         for z in (0.31 + 0.12j, -0.8 + 1.4j, 2.1 - 0.9j):
-            a = sigma_log(lat7, 0.7 * z, 25)
-            b = sigma_log(lat1, z, 25)
+            a = sigma_log(lat7, 0.7 * z)
+            b = sigma_log(lat1, z)
             assert abs(a.log_mag - (b.log_mag + math.log(0.7))) < 1e-11
             assert abs(reduce_phase(a.phase - b.phase)) < 1e-11
 
     def test_quasi_period_law(self):
         lat = SquareLattice(1.0)
-        eta1, eta2 = quasi_period_constants(lat, 25)
+        eta1, eta2 = quasi_period_constants(lat)
         for z in (0.31 - 0.27j, -0.14 + 0.33j):
             for period, eta in ((1.0, eta1), (1j, eta2)):
-                a = sigma_log(lat, z + period, 25)
-                b = sigma_log(lat, z, 25)
+                a = sigma_log(lat, z + period)
+                b = sigma_log(lat, z)
                 shift = eta * (z + period / 2.0)
                 dmag = a.log_mag - b.log_mag - shift.real
                 dphase = reduce_phase(a.phase - b.phase - math.pi - shift.imag)
@@ -686,44 +686,34 @@ class TestSigma:
         rng = np.random.default_rng(11)
         zs = rng.uniform(-0.5, 0.5, 15) + 1j * rng.uniform(-0.5, 0.5, 15)
         for z in zs:
-            base = sigma_log(lat, z, 25).log_mag - alpha * abs(z) ** 2 / 2
+            base = sigma_log(lat, z).log_mag - alpha * abs(z) ** 2 / 2
             for p in (1.0, 1j, 1 + 1j, 3 - 2j):
                 trans = (
-                    sigma_log(lat, z + p, 25).log_mag
+                    sigma_log(lat, z + p).log_mag
                     - alpha * abs(z + p) ** 2 / 2
                 )
                 assert abs(trans - base) < 1e-9
 
     def test_deterministic(self):
         lat = SquareLattice(1.0)
-        assert sigma_log(lat, 0.37 + 0.21j, 25) == sigma_log(lat, 0.37 + 0.21j, 25)
-
-    def test_validates_truncation_index(self):
-        with pytest.raises(ValidationError):
-            sigma_log(SquareLattice(1.0), 0.3, 0)
-
-    def test_truncation_index_is_ignored(self):
-        lat = SquareLattice(1.0)
-        for z in (0.5 + 0.49j, 7.3 - 4.1j):
-            assert sigma_log(lat, z, 1) == sigma_log(lat, z)
-        assert quasi_period_constants(lat, 1) == quasi_period_constants(lat)
+        assert sigma_log(lat, 0.37 + 0.21j) == sigma_log(lat, 0.37 + 0.21j)
 
 
 class TestQuasiPeriodConstants:
     def test_product_with_spacing_is_pi(self):
         for s in (1.0, 0.7, 1.632):
-            eta1, _ = quasi_period_constants(SquareLattice(s), 25)
+            eta1, _ = quasi_period_constants(SquareLattice(s))
             assert abs(eta1 * s - math.pi) < 1e-8
 
     def test_quarter_turn_and_legendre_relations(self):
         s = 1.0
-        eta1, eta2 = quasi_period_constants(SquareLattice(s), 25)
+        eta1, eta2 = quasi_period_constants(SquareLattice(s))
         assert abs(eta2 + 1j * eta1) < 1e-12
         assert abs(eta1 * (1j * s) - eta2 * s - 2j * math.pi) < 1e-12
 
     def test_cached_and_deterministic(self):
-        a = quasi_period_constants(SquareLattice(0.9), 22)
-        b = quasi_period_constants(SquareLattice(0.9), 22)
+        a = quasi_period_constants(SquareLattice(0.9))
+        b = quasi_period_constants(SquareLattice(0.9))
         assert a == b
 
 
@@ -783,7 +773,7 @@ class TestGfun:
         cp = canonical_product(square_lattice(1.0, 8.0), lat, 25)
         for z in (0.3 + 0.4j, -1.2 + 0.7j, 1.9j, 0.5, 1.4 - 1.3j):
             a = gfun_log(cp, z)
-            b = sigma_log(lat, z, 25)
+            b = sigma_log(lat, z)
             assert abs(a.log_mag - b.log_mag) < 1e-10
             assert abs(reduce_phase(a.phase - b.phase)) < 1e-10
 
@@ -816,7 +806,7 @@ class TestGfun:
         cp = canonical_product(PointSet(pts, 8.0, indices=gam.indices), lat, 25)
         for z in (0.4 + 0.3j, -1.1 + 0.8j, 1.6 - 0.5j):
             want = (
-                sigma_log(lat, z, 25).to_complex()
+                sigma_log(lat, z).to_complex()
                 * (1 - z / p)
                 * np.exp(z / p)
                 / ((1 - z / lam) * np.exp(z / lam))
@@ -945,7 +935,7 @@ class TestGrowthCheck:
         xs = np.linspace(-0.5, 0.5, 41)
         cell = (xs[None, :] + 1j * xs[:, None]).ravel()
         logw = np.array(
-            [sigma_log(lat, z, 25).log_mag for z in cell]
+            [sigma_log(lat, z).log_mag for z in cell]
         ) - math.pi * np.abs(cell) ** 2 / 2
         neighbors = [0, 1, 1j, -1, -1j, 1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]
         dist = np.min(np.abs(cell[:, None] - np.array(neighbors)[None, :]), axis=1)
@@ -1021,7 +1011,7 @@ class TestGrowthCheck:
         with pytest.raises(ValidationError):
             growth_check(cp, math.pi, 4.0, 0.0)
 
-    @pytest.mark.parametrize("step", [math.inf, math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("step", [math.inf, math.nan, 0.0, -1.0, 1e-300])
     def test_rejects_bad_grid_step(self, step):
         cp = canonical_product(square_lattice(1.0, 8.0), SquareLattice(1.0), 25)
         with pytest.raises(ValidationError, match="grid_step"):

@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fockspace import cli, square_lattice
+from fockspace import canonical, cli, square_lattice
 from fockspace.cli import main
+from fockspace.errors import ValidationError
 from fockspace.io import dumps_json, problem_doc
 from fockspace.space import MAX_EXP
 
@@ -282,21 +283,51 @@ class TestValidationExits:
         assert not out.exists()
         assert error_doc(capsys)["error"] == "ValidationError"
 
-    @pytest.mark.parametrize("step", ["0", "-0.25", "inf", "nan"])
+    @pytest.mark.parametrize("step", ["0.25", "0", "-0.25", "inf", "nan"])
     def test_bad_translate_step_exits_2(self, tmp_path, capsys, step):
-        # the step is ignored, but it is still checked
-        main(["lattice", "--spacing", "1", "--window", "6", "--out", str(tmp_path)])
-        capsys.readouterr()
+        # density has no --translate-step: argparse rejects any value
         out = tmp_path / "fresh"
-        rc = main(
-            ["density", "--in", str(tmp_path / "points.csv"), "--window", "6",
-             f"--translate-step={step}", "--out", str(out)]
-        )
+        with pytest.raises(SystemExit) as info:
+            main(["density", "--in", "points.csv", "--window", "6",
+                  f"--translate-step={step}", "--out", str(out)])
+        assert info.value.code == 2
+        assert not out.exists()
+        assert "--translate-step" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sigma-grid", "--spacing", "1e-170", "--grid=-1,1,-1,1,0.5"],
+            ["lattice", "--spacing", "1e-300", "--window", "1"],
+            ["frame", "--spacing", "1e-300", "--window", "1", "--degree-ladder", "4"],
+            # 1001^2 index pairs, one odd side past the cap
+            ["lattice", "--spacing", "1", "--window", "500"],
+            ["lattice", "--alpha", "1e300", "--density-ratio", "1e300", "--window", "1"],
+            ["growth-check", "--alpha", "1", "--spacing", "1", "--window", "10",
+             "--grid-radius", "5", "--grid-step", "1e-3"],
+            ["growth-check", "--alpha", "1", "--spacing", "1", "--window", "10",
+             "--grid-radius", "5", "--grid-step", "1e-300"],
+            ["growth-check", "--alpha", "1", "--spacing", "1", "--window", "250",
+             "--grid-radius", "125", "--grid-step", "0.25"],
+        ],
+    )
+    def test_oversized_request_exits_2_without_files(self, tmp_path, capsys, monkeypatch, argv):
+        # counted before anything is built: neither the lattice nor the grid is
+        def refuse(*args):
+            raise AssertionError("built a rejected request")
+
+        monkeypatch.setattr(cli, "square_lattice", refuse)
+        monkeypatch.setattr(canonical, "_disk_grid", refuse)
+        out = tmp_path / "fresh"
+        rc = main(argv + ["--out", str(out)])
         assert rc == 2
         assert not out.exists()
-        doc = error_doc(capsys)
-        assert doc["error"] == "ValidationError"
-        assert "--translate-step" in doc["message"]
+        assert error_doc(capsys)["error"] == "ValidationError"
+
+    def test_index_square_cap_is_exact(self):
+        cli._check_square(499.999, "999^2 points")
+        with pytest.raises(ValidationError, match="^1001\\^2 points asks for more than 1000000"):
+            cli._check_square(500.0, "1001^2 points")
 
     def test_memory_error_exits_2_without_files(self, tmp_path, capsys, monkeypatch):
         def exhausted(args):
@@ -343,21 +374,6 @@ class TestDensity:
         table = (tmp_path / "density_table.csv").read_text().splitlines()
         assert table[0] == "radius,n_minus,n_plus,reliable"
         assert len(table) == 2
-
-    def test_fine_translate_step_matches_default(self, tmp_path):
-        main(["lattice", "--spacing", "1", "--window", "6", "--perturb", "0.2", "--seed", "3",
-              "--out", str(tmp_path)])
-        argv = ["density", "--in", str(tmp_path / "points.csv"), "--window", "6.2",
-                "--radii", "1:9:1"]
-        runs = []
-        for extra in ([], ["--translate-step", "1e-300"]):
-            out = tmp_path / ("fine" if extra else "default")
-            assert main(argv + extra + ["--out", str(out)]) == 0
-            runs.append(
-                ((out / "density_table.csv").read_text(), read_report(out, "density")["results"])
-            )
-        assert runs[0] == runs[1]
-        assert runs[0][1]["reliable"][-2:] == [True, False]  # r = 9 does not fit
 
     def test_json_point_set_input(self, tmp_path):
         main(
@@ -779,6 +795,7 @@ class TestGrowthCheck:
         )
         assert rc == 0
         results = read_report(tmp_path, "growth-check")["results"]
+        assert "truncation_index" not in results
         assert results["violations"] == 0
         assert results["c"] >= 0.0
         assert results["C1"] > 0.0 and results["C2"] > 0.0

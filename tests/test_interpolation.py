@@ -458,7 +458,7 @@ class TestBuildInterpolant:
         assert math.isfinite(coarse) and coarse > 0.0
         assert coarse <= 2.0 * fine and fine <= 2.0 * coarse
 
-    @pytest.mark.parametrize("step", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("step", [0.0, -1.0, math.inf, math.nan, 1e-300])
     def test_pointwise_bound_rejects_bad_step(self, step):
         ev = build_interpolant(sub_problem(6.0), 6.0)
         with pytest.raises(ValidationError, match="grid_step"):

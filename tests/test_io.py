@@ -250,7 +250,7 @@ class TestCsvTables:
     def test_density_table_equals_per_cell_fmt(self):
         # no side-7 square fits the window: that radius is unreliable, its counts 0
         gamma = perturb(square_lattice(1.0, 4.0), 0.2, seed=2)
-        report = density_estimate(gamma, [0.1, 1.0 / 3.0, 2.5, 7.0], 0.25)
+        report = density_estimate(gamma, [0.1, 1.0 / 3.0, 2.5, 7.0])
         assert report.reliable == (True, True, True, False)
         rows = [(r, lo, hi, int(ok)) for r, lo, hi, ok in
                 zip(report.radii, report.n_minus, report.n_plus, report.reliable)]
@@ -320,7 +320,7 @@ class TestCsvTables:
 
     def test_frame_estimate_doc_table(self):
         gamma = square_lattice(1.2, 8.0)
-        est = frame_bounds(gamma, 1.0, 8, 8.0)
+        est = frame_bounds(gamma, 1.0, 8)
         doc = frame_estimate_to_doc(est)
         assert json.loads(dumps_json(doc))["degree"] == 8
         assert all(set(row) == {"degree", "A", "B"} for row in doc["convergence_table"])

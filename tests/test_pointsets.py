@@ -191,7 +191,7 @@ def column_scan_counts(gamma, r, translate_step):
 
 @st.composite
 def count_cases(draw):
-    """A point set, square side and translate step for ``counts``.
+    """A point set and square side for ``counts``, and a step for its oracles.
 
     Exact lattices at radii k*s put points on square edges; perturbed
     and interleaved lattices break the alignment. Windows are either
@@ -282,6 +282,17 @@ class TestSquareLattice:
             pointsets.square_lattice(1.0, window)
         with pytest.raises(errors.ValidationError, match="window_radius must be finite"):
             pointsets.scale_lattice_to_density(1.0, 1.2, window)
+
+    @pytest.mark.parametrize("s", [1e-170, 1e-160])
+    def test_spacing_without_a_finite_density(self, s):
+        # 1/(s*s) would divide by an underflowed zero, or overflow
+        with pytest.raises(errors.ValidationError, match="^spacing .* no finite density"):
+            SquareLattice(s)
+
+    @pytest.mark.parametrize("s", [1e-300, 5e-324])
+    def test_index_square_numpy_cannot_build(self, s):
+        with pytest.raises(errors.ValidationError, match="^spacing .* numpy cannot build"):
+            pointsets.square_lattice(s, 1.0)
 
     def test_deterministic_order(self):
         a = pointsets.square_lattice(0.8, 6.0)
@@ -421,49 +432,37 @@ class TestCloseness:
 class TestCounts:
     def test_unit_lattice_r25(self):
         ps = pointsets.square_lattice(1.0, 20.0)
-        assert pointsets.counts(ps, 2.5, 0.5) == (4, 9)
+        assert pointsets.counts(ps, 2.5) == (4, 9)
 
     def test_unit_lattice_r1(self):
         ps = pointsets.square_lattice(1.0, 20.0)
-        assert pointsets.counts(ps, 1.0, 0.5) == (1, 1)
+        assert pointsets.counts(ps, 1.0) == (1, 1)
 
     def test_single_point(self):
         ps = PointSet([0], 5.0)
-        assert pointsets.counts(ps, 0.5, 0.25) == (0, 1)
+        assert pointsets.counts(ps, 0.5) == (0, 1)
 
     def test_window_too_small(self):
         with pytest.raises(errors.WindowTooSmall):
-            pointsets.counts(PointSet([0], 0.1), 1.0, 0.1)
+            pointsets.counts(PointSet([0], 0.1), 1.0)
 
     def test_window_too_small_fields(self):
         with pytest.raises(errors.WindowTooSmall) as info:
-            pointsets.counts(PointSet([0], 0.1), 1.0, 0.1)
+            pointsets.counts(PointSet([0], 0.1), 1.0)
         assert info.value.fields == {"square_side": 1.0, "window_radius": 0.1}
 
     def test_empty_region_fields(self, monkeypatch):
         # a t_x span outside the disk leaves no feasible translate
         monkeypatch.setattr(pointsets, "_feasible_x_interval", lambda w, r: (2 * w, 2 * w))
         with pytest.raises(errors.WindowTooSmall, match="empty") as info:
-            pointsets.counts(PointSet([0], 3.0), 1.0, 0.1)
+            pointsets.counts(PointSet([0], 3.0), 1.0)
         assert info.value.fields == {"square_side": 1.0, "window_radius": 3.0}
-
-    @pytest.mark.parametrize("step", [1e-300, 5e-324])
-    def test_fine_step_gives_the_coarse_counts(self, step):
-        # the step is ignored: no grid of translates is built, however fine
-        gamma = pointsets.perturb(pointsets.square_lattice(1.0, 6.0), 0.2, 3)
-        want = reference_counts(gamma, 2.0, 0.5)
-        assert pointsets.counts(gamma, 2.0, step) == want == pointsets.counts(gamma, 2.0, 0.5)
-
-    @pytest.mark.parametrize("step", [0.0, -0.5, math.nan])
-    def test_step_must_be_positive(self, step):
-        with pytest.raises(errors.ValidationError, match="translate_step"):
-            pointsets.counts(pointsets.square_lattice(1.0, 6.0), 2.0, step)
 
     def test_monotone_in_radius(self):
         ps = pointsets.square_lattice(1.0, 25.0)
         prev = -1
         for r in [1.0, 1.7, 2.5, 3.3, 4.0]:
-            _, hi = pointsets.counts(ps, r, 0.5)
+            _, hi = pointsets.counts(ps, r)
             assert hi >= prev
             prev = hi
 
@@ -474,14 +473,14 @@ class TestCounts:
             zs = np.unique(pts[:, 0] + 1j * pts[:, 1])
             ps = PointSet(zs, 6.0)
             r = float(rng.uniform(0.7, 3.0))
-            got = pointsets.counts(ps, r, 0.3)
+            got = pointsets.counts(ps, r)
             want = brute_force_counts(ps, r)
             assert got == want, f"trial {trial}, r={r}"
 
     def test_matches_brute_force_lattice(self):
         ps = pointsets.square_lattice(1.0, 8.0)
         for r in [1.3, 2.0, 2.5]:
-            assert pointsets.counts(ps, r, 0.4) == brute_force_counts(ps, r)
+            assert pointsets.counts(ps, r) == brute_force_counts(ps, r)
 
 
 class TestCountsMatchReference:
@@ -493,25 +492,23 @@ class TestCountsMatchReference:
             want = reference_counts(gamma, r, step)
         except errors.WindowTooSmall:
             with pytest.raises(errors.WindowTooSmall):
-                pointsets.counts(gamma, r, step)
+                pointsets.counts(gamma, r)
             return
-        assert pointsets.counts(gamma, r, step) == want
+        assert pointsets.counts(gamma, r) == want
 
     @settings(max_examples=200, deadline=None)
-    @given(count_cases(), st.sampled_from([(5e-324, 0), (1e-300, 0), (1e-6, 1), (10.0, 1)]))
-    def test_any_step_gives_the_reference_counts(self, case, other):
-        # steps no grid of translates could be built at, or that would lay
-        # one down every 1e-6 r or not at all, change no count
+    @given(count_cases())
+    def test_any_step_gives_the_reference_counts(self, case):
+        # the oracle's grid of translates, laid every step or at most
+        # once (a step of 10 r), adds nothing to the events counts scans
         gamma, r, step = case
-        factor, power = other
-        other_step = factor * r**power
         try:
             want = reference_counts(gamma, r, step)
         except errors.WindowTooSmall:
             with pytest.raises(errors.WindowTooSmall):
-                pointsets.counts(gamma, r, other_step)
+                reference_counts(gamma, r, 10.0 * r)
             return
-        assert pointsets.counts(gamma, r, other_step) == want
+        assert reference_counts(gamma, r, 10.0 * r) == want == pointsets.counts(gamma, r)
 
     @settings(max_examples=100, deadline=None)
     @given(count_cases(), st.sampled_from([1, 50, 4000]))
@@ -526,9 +523,9 @@ class TestCountsMatchReference:
             mp.setattr(pointsets, "_COUNT_CELLS", cells)
             if want is errors.WindowTooSmall:
                 with pytest.raises(errors.WindowTooSmall):
-                    pointsets.counts(gamma, r, step)
+                    pointsets.counts(gamma, r)
             else:
-                assert pointsets.counts(gamma, r, step) == want
+                assert pointsets.counts(gamma, r) == want
 
 
 class TestCountsMatchColumnScan:
@@ -538,13 +535,13 @@ class TestCountsMatchColumnScan:
         lattice = pointsets.scale_lattice_to_density(1.0, 1.2, 20.0)
         gamma = pointsets.perturb(lattice, 0.2 * s, 5)
         for r in np.arange(5.0, 12.01, 0.5):
-            got = pointsets.counts(gamma, r, 0.25)
+            got = pointsets.counts(gamma, r)
             assert got == column_scan_counts(gamma, r, 0.25), r
 
     def test_perturbed_unit_lattice(self):
         gamma = pointsets.perturb(pointsets.square_lattice(1.0, 30.0), 0.2, 1)
         assert len(gamma) == 2821
-        assert pointsets.counts(gamma, 5.0, 0.5) == column_scan_counts(gamma, 5.0, 0.5)
+        assert pointsets.counts(gamma, 5.0) == column_scan_counts(gamma, 5.0, 0.5)
 
 
 class TestCountsOnLatticeEdges:
@@ -559,9 +556,8 @@ class TestCountsOnLatticeEdges:
         k=st.integers(1, 5),
         reach=st.floats(-0.05, 3.0),
         offset=st.tuples(st.integers(0, 7), st.integers(0, 7)),
-        step=st.floats(0.1, 1.0),
     )
-    def test_exact_lattice_counts_k_squared(self, s, k, reach, offset, step):
+    def test_exact_lattice_counts_k_squared(self, s, k, reach, offset):
         # windows from just below the square's half-diagonal outwards
         w = (k / math.sqrt(2.0) + reach) * s
         n = int(math.ceil(w / s)) + 1
@@ -571,7 +567,7 @@ class TestCountsOnLatticeEdges:
         if pts.size == 0:
             return
         try:
-            got = pointsets.counts(PointSet(pts, w), k * s, step * s)
+            got = pointsets.counts(PointSet(pts, w), k * s)
         except errors.WindowTooSmall:
             return
         assert got == (k * k, k * k)
@@ -580,7 +576,7 @@ class TestCountsOnLatticeEdges:
 class TestDensityEstimate:
     def test_unit_lattice(self):
         ps = pointsets.square_lattice(1.0, 40.0)
-        rep = pointsets.density_estimate(ps, range(5, 16), 0.5)
+        rep = pointsets.density_estimate(ps, range(5, 16))
         assert all(rep.reliable)
         assert 0.9 <= rep.d_minus_estimate <= rep.d_plus_estimate <= 1.1
 
@@ -588,7 +584,7 @@ class TestDensityEstimate:
         s = 0.7
         ps = pointsets.square_lattice(s, 60.0 * s)
         radii = [s * k for k in range(5, 21)]
-        rep = pointsets.density_estimate(ps, radii, s / 2)
+        rep = pointsets.density_estimate(ps, radii)
         want = 1.0 / (s * s)
         assert abs(rep.d_minus_estimate - want) <= 0.03 * want
         assert abs(rep.d_plus_estimate - want) <= 0.03 * want
@@ -597,7 +593,7 @@ class TestDensityEstimate:
         ps = pointsets.scale_lattice_to_density(1.0, 1.2, 40.0)
         s = math.sqrt(math.pi / 1.2)
         radii = [s * k for k in range(5, 16)]
-        rep = pointsets.density_estimate(ps, radii, s / 2)
+        rep = pointsets.density_estimate(ps, radii)
         want = 1.2 / math.pi
         assert abs(rep.d_minus_estimate - want) <= 0.05 * want
         assert abs(rep.d_plus_estimate - want) <= 0.05 * want
@@ -608,20 +604,20 @@ class TestDensityEstimate:
         keep = np.abs(b) <= 40.0
         ps = PointSet(np.concatenate([a.points, b[keep]]), 40.0)
         radii = list(range(5, 16))
-        rep = pointsets.density_estimate(ps, radii, 0.25)
+        rep = pointsets.density_estimate(ps, radii)
         assert abs(rep.d_minus_estimate - 2.0) <= 0.1
         assert abs(rep.d_plus_estimate - 2.0) <= 0.1
 
     def test_unreliable_radii_flagged(self):
         ps = pointsets.square_lattice(1.0, 10.0)
-        rep = pointsets.density_estimate(ps, [2.0, 5.0, 20.0], 0.5)
+        rep = pointsets.density_estimate(ps, [2.0, 5.0, 20.0])
         assert rep.reliable == (True, True, False)
         assert rep.n_minus[2] == 0 and rep.n_plus[2] == 0
 
     def test_increasing_radii_required(self):
         ps = pointsets.square_lattice(1.0, 10.0)
         with pytest.raises(errors.ValidationError):
-            pointsets.density_estimate(ps, [3.0, 2.0], 0.5)
+            pointsets.density_estimate(ps, [3.0, 2.0])
 
 
 def tree_nearest(points, zs):
