@@ -74,8 +74,9 @@ the site. Products of the raw differences ``p - z`` and ``lambda - z``
 would reach many times the size of their quotient, and the difference
 of their logs would lose digits to cancellation. The factor that
 vanishes at a point (a root equal to z, or a ratio whose site is the
-lattice site nearest z) is found by lookup in sorted arrays, not by
-comparing every (point, ratio) pair. Both lie within ``h + s/2`` of the
+lattice site nearest z) is found by :func:`pointsets._match`, a sorted
+exact-match search of the chunk's own roots and sites, not by comparing
+every (point, ratio) pair. Both lie within ``h + s/2`` of the
 centre, so they are always near. The vanishing factor's derivative takes
 its place, so where g vanishes the pass returns log g'(z): the node
 derivatives of a Lagrange series come from the grid's own tiles.
@@ -101,7 +102,7 @@ from .errors import (
     PointNotInSet,
     ValidationError,
 )
-from .pointsets import PointSet, SquareLattice, nearest_distance
+from .pointsets import PointSet, SquareLattice, _match, nearest_distance
 from .space import LogComplex, _check_alpha, _disk_grid, _finite_point, _log, _log1p, reduce_phase
 
 __all__ = [
@@ -252,30 +253,6 @@ class GrowthBoundFit:
     violations: int
 
 
-@dataclass(frozen=True, slots=True)
-class _SortedKeys:
-    """Columns of a ratio array, looked up by exact equality of a key."""
-
-    keys: np.ndarray
-    cols: np.ndarray
-
-    @classmethod
-    def of(cls, values: np.ndarray) -> "_SortedKeys":
-        order = np.argsort(values, kind="stable")
-        return cls(values[order], order)
-
-    def find(self, values: np.ndarray, subset: np.ndarray):
-        """``(rows, cols)`` where ``values[row]`` is the key of column ``subset[col]``."""
-        if not self.keys.size:
-            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-        local = np.full(self.keys.size, -1)
-        local[subset] = np.arange(subset.size)
-        pos = np.minimum(np.searchsorted(self.keys, values), self.keys.size - 1)
-        cols = local[self.cols[pos]]
-        rows = np.flatnonzero((self.keys[pos] == values) & (cols >= 0))
-        return rows, cols[rows]
-
-
 @dataclass(frozen=True, slots=True, eq=False)
 class CanonicalProduct:
     """Canonical product for a point set near a square lattice.
@@ -284,11 +261,10 @@ class CanonicalProduct:
     ``(z - z00)/z`` times one ratio per index where the set differs from
     the lattice. Ratio ``k`` has its site at ``_sites[k]``; the first
     ``_roots.size`` ratios move that site's zero to ``_roots[k]``, and
-    the others are sites carrying no zero, roots at infinity. The ``_*_keys`` find a ratio
-    by its root or site. ``_poly`` holds the constant, linear and
-    quadratic coefficients of the polynomial parts summed over every
-    ratio; the log parts are taken per tile of query points (see the
-    module docstring).
+    the others are sites carrying no zero, roots at infinity. ``_poly``
+    holds the constant, linear and quadratic coefficients of the
+    polynomial parts summed over every ratio; the log parts are taken per
+    tile of query points (see the module docstring).
     """
 
     gamma: PointSet
@@ -298,8 +274,6 @@ class CanonicalProduct:
     closeness_Q: float
     _roots: np.ndarray
     _sites: np.ndarray
-    _root_keys: _SortedKeys
-    _site_keys: _SortedKeys
     _poly: tuple
 
     def __repr__(self):
@@ -386,8 +360,6 @@ def canonical_product(
         closeness_Q=q_max,
         _roots=roots,
         _sites=ratio_sites,
-        _root_keys=_SortedKeys.of(roots),
-        _site_keys=_SortedKeys.of(ratio_sites),
         _poly=poly,
     )
 
@@ -443,18 +415,20 @@ def _near_log(cp: CanonicalProduct, zs: np.ndarray, ratios: np.ndarray, work: np
         fac = work[:cells].reshape(zs.size, width)
         fac[:, ratios.size :] = 1.0
         den = fac[:, : ratios.size]
-        np.subtract(cp._sites[ratios], zs[:, None], out=den)
-        rows, cols = cp._site_keys.find(site, ratios)
+        lambdas = cp._sites[ratios]
+        np.subtract(lambdas, zs[:, None], out=den)
+        rows, cols = _match(lambdas, site)
         den[rows, cols] = -1.0
         divided[rows] = True
         k = int(np.searchsorted(ratios, cp._roots.size))
         num = work[cells : cells + zs.size * k].reshape(zs.size, k)
-        np.subtract(cp._roots[ratios[:k]], zs[:, None], out=num)
-        rows, cols = cp._root_keys.find(zs, ratios[:k])
+        roots = cp._roots[ratios[:k]]
+        np.subtract(roots, zs[:, None], out=num)
+        rows, cols = _match(roots, zs)
         num[rows, cols] = -1.0
         zero[rows] = True
         np.divide(num, den[:, :k], out=den[:, :k])
-        np.divide(cp._sites[ratios[k:]], den[:, k:], out=den[:, k:])
+        np.divide(lambdas[k:], den[:, k:], out=den[:, k:])
         total = total + _block_log(fac, work[cells:])
     return _closing_logs(cp, zs, w, total, divided, zero)
 

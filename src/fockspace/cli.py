@@ -31,6 +31,7 @@ from .canonical import (
 from .errors import NumericalDiagnosticError, ValidationError
 from .interpolation import (
     InterpolationProblem,
+    _growth_angles,
     build_interpolant,
     lagrange_reconstruct,
     norm_growth_report,
@@ -58,7 +59,7 @@ from .pointsets import (
     separation,
     square_lattice,
 )
-from .sampling import frame_bounds
+from .sampling import _frame_constants, frame_bounds
 
 __all__ = ["main"]
 
@@ -97,9 +98,10 @@ def _parse_int_list(text: str, flag: str) -> list:
     return values
 
 
-# Most points a --radii ladder, a --grid, a lattice's index square or
-# growth-check's disk grid may hold. Counts are checked before anything
-# is allocated, so a tiny step is an error, not a hang.
+# Most points a --radii ladder, a --grid, a lattice's index square,
+# growth-check's disk grid, interpolate's bound grid or norm-growth
+# circles, or cells a frame matrix may hold. Counts are checked before
+# anything is allocated, so a tiny step is an error, not a hang.
 _MAX_POINTS = 1_000_000
 
 
@@ -111,11 +113,16 @@ def _count(lo: float, hi: float, step: float, flag: str) -> int:
     return int(math.floor(span)) + 1
 
 
+def _check_size(points: int, what: str) -> None:
+    """Reject a request for more than _MAX_POINTS points."""
+    if points > _MAX_POINTS:
+        raise ValidationError(f"{what} asks for more than {_MAX_POINTS} points")
+
+
 def _check_square(half: float, what: str) -> None:
     """Reject an index square of side 2 floor(half) + 1 over _MAX_POINTS points."""
     side = 2 * math.floor(min(half, _MAX_POINTS)) + 1
-    if side * side > _MAX_POINTS:
-        raise ValidationError(f"{what} asks for more than {_MAX_POINTS} points")
+    _check_size(side * side, what)
 
 
 def _parse_radii(text: str) -> list:
@@ -148,8 +155,7 @@ def _parse_grid(text: str) -> np.ndarray:
         raise ValidationError("--grid needs max >= min and step > 0")
     nx = _count(xmin, xmax, step, "--grid")
     ny = _count(ymin, ymax, step, "--grid")
-    if nx * ny > _MAX_POINTS:
-        raise ValidationError(f"--grid asks for more than {_MAX_POINTS} points")
+    _check_size(nx * ny, "--grid")
     xs = xmin + step * np.arange(nx)
     ys = ymin + step * np.arange(ny)
     return (xs[None, :] + 1j * ys[:, None]).ravel()
@@ -238,13 +244,15 @@ def _cmd_density(args):
 
 
 def _cmd_frame(args):
-    gamma, spacing = _built_set(args)
     ladder = _parse_int_list(args.degree_ladder, "--degree-ladder")
-    rows = []
-    last = None
-    for degree in ladder:
-        last = frame_bounds(gamma, args.alpha, degree)
-        rows.append((degree, last.A, last.B))
+    side = max(max(ladder) + 1, 0)
+    _check_size(side * side, "--degree-ladder's largest frame matrix")
+    gamma, spacing = _built_set(args)
+    # each degree solved once: the last by frame_bounds, whose table holds
+    # it and its N/2 and 3N/4, the others alone
+    last = frame_bounds(gamma, args.alpha, ladder[-1])
+    solved = {d: (a, b) for d, a, b in last.convergence_table}
+    rows = [(d, *(solved.get(d) or _frame_constants(gamma, args.alpha, d))) for d in ladder]
     results = {
         "spacing": spacing,
         "ladder": [
@@ -280,11 +288,17 @@ def _cmd_reconstruct(args):
 
 
 def _cmd_interpolate(args):
+    # the pointwise bound's step-0.5 grid over |z| <= R/2 has side 2 floor(R) + 1
+    _check_square(args.truncation_radius, "--truncation-radius's bound grid")
     alpha, spacing, gamma, data = _load_problem(args.infile, args.window)
     problem = InterpolationProblem(
         gamma=gamma, alpha=alpha, lattice_spacing=spacing, data=data
     )
     ev = build_interpolant(problem, args.truncation_radius)
+    if args.degree is not None:
+        # past the cap any degree is refused; the min keeps sqrt(N / alpha) finite
+        circles = (args.degree + 1) * _growth_angles(ev, min(args.degree, _MAX_POINTS))
+        _check_size(circles, "--degree's norm-growth circles")
     grid = _parse_grid(args.grid)
     values = ev.eval(grid)
     results = {

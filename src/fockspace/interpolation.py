@@ -62,7 +62,7 @@ from .errors import (
     QuadratureOrderTooLow,
     ValidationError,
 )
-from .pointsets import PointSet, SquareLattice
+from .pointsets import PointSet, SquareLattice, _match
 from .space import _check_alpha, _checked_exp, _combine_term_logs, _disk_grid, _log, _monomial_logs
 
 __all__ = [
@@ -183,13 +183,15 @@ class _LagrangeBasis:
 
     def series(self, coeff_logs: np.ndarray, zs: np.ndarray) -> np.ndarray:
         """Complex log of ``sum_i c_i L_i`` at ``zs`` in blocks of ``_SERIES_CELLS``
-        cells, each one z - z_i buffer. A z whose |z - z_i| is not a normal
-        double, where 1/(z - z_i) could overflow, is a hit on node i."""
+        cells, each one z - z_i buffer. A hit on node i takes c_i: a zero of g
+        equal to z_i (:func:`pointsets._match`), or a z whose least |z - z_i|
+        is not a normal double, where 1/(z - z_i) could overflow."""
         glog = _gfun_log_many(self.product, zs)
         zero = glog.real == -np.inf
         # Distinct doubles closer than tiny both lie below 2**-969, where the
         # spacing of doubles drops under tiny: only such z need the check.
         small = np.minimum(np.abs(zs.real), np.abs(zs.imag)) < 2.0**-969
+        hit = np.full(zs.size, -1)  # the node each z hits, or -1
         a = (coeff_logs - self.node_dlogs)[:, None]
         out = np.empty(zs.size, dtype=np.complex128)
         width = max(1, _SERIES_CELLS // max(self.nodes.size, 1))
@@ -198,14 +200,19 @@ class _LagrangeBasis:
             cols = slice(start, start + width)
             w = np.subtract(zs[cols], self.nodes[:, None], out=buf[:, : zs[cols].size])
             near = np.flatnonzero(small[cols])
-            zero[start + near] |= np.abs(w[:, near]).min(axis=0, initial=np.inf) < _TINY
+            dist = np.abs(w[:, near])
+            close = dist.min(axis=0) < _TINY
+            hit[start + near[close]] = dist[:, close].argmin(axis=0)
+            zero[start + near[close]] = True
             w[:, zero[cols]] = 1.0  # zeros of g, the nodes among them: set below
             exps = self.kappa * np.conj(self.nodes)[:, None] * w if self.kappa else np.zeros_like(a)
             exps += a
             out[cols] = glog[cols] + _combine_term_logs(exps, np.divide(1.0, w, out=w))
         out[zero] = -np.inf
-        rows, hits = np.nonzero(np.abs(self.nodes[:, None] - zs[zero]) < _TINY)
-        out[np.flatnonzero(zero)[hits]] = coeff_logs[rows]
+        at = np.flatnonzero(zero)
+        found, node = _match(self.nodes, zs[at])
+        hit[at[found]] = node
+        out[hit >= 0] = coeff_logs[hit[hit >= 0]]
         return out
 
 
@@ -214,8 +221,9 @@ def lagrange_reconstruct(gamma: PointSet, alpha: float, samples: dict, z, trunca
 
     ``samples`` maps points of gamma to f values and must cover every
     point with ``|z_mn| <= truncation_radius``. The query must stay in
-    the interior ``|z| < truncation_radius / 2``; at a sampled point the
-    sample itself is returned. Accepts a point or an array of points.
+    the interior ``|z| < truncation_radius / 2``; at a sampled point,
+    matched exactly by :func:`pointsets._match`, the sample itself is
+    returned. Accepts a point or an array of points.
 
     The series runs on the Lagrange basis shared with the interpolant,
     here ``L_i(z) = g(z) / (g'(z_i) (z - z_i))`` with g the canonical
@@ -256,15 +264,11 @@ def lagrange_reconstruct(gamma: PointSet, alpha: float, samples: dict, z, trunca
         )
     basis, values = _LagrangeBasis.of(gamma, spacing, samples, truncation_radius, "sample", 0.0)
     logs = basis.series(_log(values), flat)
-
-    # direct return of the sample at an exact sample point, found by a
-    # sorted search (np.isin imports numpy.ma on first use) that ends in
-    # a NaN no query equals; a huge sample there is no overflow
-    sorted_nodes = np.append(np.sort(basis.nodes), np.nan)
-    hit = sorted_nodes[np.searchsorted(sorted_nodes, flat)] == flat
-    logs[hit] = 0.0
+    # the sample itself at a sample point; a huge one there is no overflow
+    rows, cols = _match(basis.nodes, flat)
+    logs[rows] = 0.0
     out = _checked_exp(logs, flat, "reconstruction")
-    out[hit] = [samples[complex(p)] for p in flat[hit]]
+    out[rows] = values[cols]
     out = out.reshape(zs.shape)
     return complex(out[()]) if zs.ndim == 0 else out
 
@@ -431,6 +435,12 @@ def _angle_count(alpha: float, max_node: float, radius: float, N: int) -> int:
     return 1 << max(6, (bandwidth - 1).bit_length())
 
 
+def _growth_angles(ev: InterpolantEvaluator, N: int) -> int:
+    """n_theta of :func:`norm_growth_report` at degree N, counted before any circle is built."""
+    max_node = max((abs(complex(p)) for p in ev._basis.nodes), default=0.0)
+    return _angle_count(ev.problem.alpha, max_node, math.sqrt(max(N, 1) / ev.problem.alpha), N)
+
+
 def norm_growth_report(ev: InterpolantEvaluator, N: int) -> NormGrowthReport:
     """Compare the interpolant's norm with the data's l2 norm.
 
@@ -458,8 +468,7 @@ def norm_growth_report(ev: InterpolantEvaluator, N: int) -> NormGrowthReport:
         raise ValidationError("degree must be nonnegative")
     alpha = ev.problem.alpha
     rho = np.sqrt(np.maximum(np.arange(N + 1), 1) / alpha)
-    max_node = max((abs(complex(p)) for p in ev._basis.nodes), default=0.0)
-    n_theta = _angle_count(alpha, max_node, float(rho[-1]), N)
+    n_theta = _growth_angles(ev, N)
     grid = (rho[:, None] * np.exp(2j * math.pi * np.arange(n_theta) / n_theta)).ravel()
     weighted = np.exp(ev._series(grid) - 0.5 * alpha * _sq(grid)).reshape(N + 1, n_theta)
     harmonics = np.abs(fft(weighted, axis=1)) / n_theta

@@ -57,6 +57,18 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
     return s[np.concatenate(([True], s[1:] != s[:-1]))]
 
 
+def _match(keys: np.ndarray, values: np.ndarray):
+    """``(rows, cols)``, rows ascending, with ``values[rows] == keys[cols]``
+    for distinct ``keys``: a sorted search, in memory linear in both sizes
+    (``np.isin`` would import ``numpy.ma``, as ``np.unique`` does)."""
+    if not keys.size:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    order = np.argsort(keys)
+    cols = order[np.minimum(np.searchsorted(keys[order], values), keys.size - 1)]
+    rows = np.flatnonzero(keys[cols] == values)
+    return rows, cols[rows]
+
+
 def _has_repeats(values: np.ndarray) -> bool:
     """Whether two entries of a 1-D array, or two rows of a 2-D one, are equal."""
     if values.ndim == 2:

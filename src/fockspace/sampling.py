@@ -95,6 +95,13 @@ def _degree_ladder(N: int):
     return ladder
 
 
+def _frame_constants(gamma: PointSet, alpha: float, N: int) -> tuple:
+    """``(A_N, B_N)``, the extremal eigenvalues of the frame matrix."""
+    eig = np.linalg.eigvalsh(frame_matrix(gamma, alpha, N))
+    # S is PSD: rounding alone can push its smallest eigenvalue below 0
+    return max(0.0, float(eig[0])), float(eig[-1])
+
+
 def frame_bounds(gamma: PointSet, alpha: float, N: int) -> FrameEstimate:
     """Estimate the sampling constants of a point set at degree N.
 
@@ -111,11 +118,7 @@ def frame_bounds(gamma: PointSet, alpha: float, N: int) -> FrameEstimate:
     if N < 0:
         raise ValidationError("degree must be nonnegative")
     effective = math.sqrt(N / alpha) + 4.0 / math.sqrt(alpha)
-    table = []
-    for d in _degree_ladder(N):
-        # S is PSD: rounding alone can push its smallest eigenvalue below 0
-        eig = np.linalg.eigvalsh(frame_matrix(gamma, alpha, d))
-        table.append((d, max(0.0, float(eig[0])), float(eig[-1])))
+    table = [(d, *_frame_constants(gamma, alpha, d)) for d in _degree_ladder(N)]
     a_final, b_final = table[-1][1], table[-1][2]
     return FrameEstimate(
         A=a_final,

@@ -427,12 +427,12 @@ def allocating_near_log(cp, zs, ratios):
         fac[:, ratios.size :] = 1.0
         den = fac[:, : ratios.size]
         np.subtract(cp._sites[ratios], zs[:, None], out=den)
-        rows, cols = cp._site_keys.find(site, ratios)
+        rows, cols = canonical._match(cp._sites[ratios], site)
         den[rows, cols] = -1.0
         divided[rows] = True
         k = int(np.searchsorted(ratios, cp._roots.size))
         num = cp._roots[ratios[:k]] - zs[:, None]
-        rows, cols = cp._root_keys.find(zs, ratios[:k])
+        rows, cols = canonical._match(cp._roots[ratios[:k]], zs)
         num[rows, cols] = -1.0
         zero[rows] = True
         np.divide(num, den[:, :k], out=den[:, :k])

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fockspace import canonical, cli, square_lattice
+from fockspace import canonical, cli, interpolation, sampling, scale_lattice_to_density, square_lattice
 from fockspace.cli import main
 from fockspace.errors import ValidationError
 from fockspace.io import dumps_json, problem_doc
@@ -300,6 +300,8 @@ class TestValidationExits:
             ["sigma-grid", "--spacing", "1e-170", "--grid=-1,1,-1,1,0.5"],
             ["lattice", "--spacing", "1e-300", "--window", "1"],
             ["frame", "--spacing", "1e-300", "--window", "1", "--degree-ladder", "4"],
+            # a 1001^2 frame matrix
+            ["frame", "--spacing", "1", "--window", "3", "--degree-ladder", "8,1000"],
             # 1001^2 index pairs, one odd side past the cap
             ["lattice", "--spacing", "1", "--window", "500"],
             ["lattice", "--alpha", "1e300", "--density-ratio", "1e300", "--window", "1"],
@@ -318,11 +320,96 @@ class TestValidationExits:
 
         monkeypatch.setattr(cli, "square_lattice", refuse)
         monkeypatch.setattr(canonical, "_disk_grid", refuse)
+        monkeypatch.setattr(sampling, "frame_matrix", refuse)
         out = tmp_path / "fresh"
         rc = main(argv + ["--out", str(out)])
         assert rc == 2
         assert not out.exists()
         assert error_doc(capsys)["error"] == "ValidationError"
+
+    @pytest.mark.parametrize(
+        "flag, value, what",
+        [
+            # the bound grid's (2 floor(R) + 1)^2 square: 1 442 401 points
+            ("--truncation-radius", "600", "--truncation-radius's bound grid"),
+            # (N + 1) n_theta norm-growth circle points: 8 200 192 and 32 784 384
+            ("--degree", "1000", "--degree's norm-growth circles"),
+            ("--degree", "2000", "--degree's norm-growth circles"),
+        ],
+    )
+    def test_oversized_interpolate_exits_2_without_files(
+        self, tmp_path, capsys, monkeypatch, interp_problem, flag, value, what
+    ):
+        def refuse(*args):
+            raise AssertionError("built a rejected request")
+
+        monkeypatch.setattr(interpolation, "_disk_grid", refuse)
+        monkeypatch.setattr(cli, "norm_growth_report", refuse)
+        out = tmp_path / "fresh"
+        # argparse keeps the last of a repeated flag
+        rc = main(["interpolate", "--in", str(interp_problem), "--grid=0,1,0,1,1",
+                   "--truncation-radius", "10", "--degree", "8", flag, value, "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert error_doc(capsys)["message"] == f"{what} asks for more than 1000000 points"
+
+    @pytest.mark.parametrize(
+        "flag, at_cap, past_cap",
+        [
+            # 999^2 and 1001^2 points in the bound grid
+            ("--truncation-radius", "499.999", "500"),
+            # 1000^2 and 1001^2 cells in the largest frame matrix
+            ("--degree-ladder", "8,999", "1000,8"),
+        ],
+    )
+    def test_caps_are_exact(self, tmp_path, capsys, monkeypatch, interp_problem, flag, at_cap, past_cap):
+        # at the cap the request reaches its builder, one past it does not
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        monkeypatch.setattr(interpolation, "_disk_grid", reached)
+        monkeypatch.setattr(sampling, "frame_matrix", reached)
+        if flag == "--truncation-radius":
+            argv = ["interpolate", "--in", str(interp_problem), "--grid=0,1,0,1,1"]
+        else:
+            argv = ["frame", "--spacing", "1", "--window", "3"]
+        out = tmp_path / "fresh"
+        with pytest.raises(Reached):
+            main(argv + [flag, at_cap, "--out", str(out)])
+        assert main(argv + [flag, past_cap, "--out", str(out)]) == 2
+        assert error_doc(capsys)["message"].startswith(f"{flag}'s ")
+        assert not out.exists()
+
+    def test_norm_growth_cap_is_exact(self, tmp_path, capsys, monkeypatch, interp_problem):
+        # the largest degree whose (N + 1) n_theta circle points fit the cap,
+        # counted from the nodes within the truncation radius 10
+        nodes = square_lattice(SUB_SPACING, 12.0).points
+        top = float(np.max(np.abs(nodes[np.abs(nodes) <= 10.0])))
+
+        def count(N):
+            return (N + 1) * interpolation._angle_count(ALPHA, top, math.sqrt(N / ALPHA), N)
+
+        degree = max(N for N in range(1, 1001) if count(N) <= 1_000_000)
+        assert count(degree + 1) > 1_000_000
+
+        class Reached(Exception):
+            pass
+
+        def reached(ev, N):
+            assert N == degree
+            raise Reached
+
+        monkeypatch.setattr(cli, "norm_growth_report", reached)
+        argv = ["interpolate", "--in", str(interp_problem), "--truncation-radius", "10",
+                "--grid=0,1,0,1,1", "--out", str(tmp_path / "fresh")]
+        with pytest.raises(Reached):
+            main(argv + ["--degree", str(degree)])
+        assert main(argv + ["--degree", str(degree + 1)]) == 2
+        assert error_doc(capsys)["message"].startswith("--degree's norm-growth circles")
+        assert not (tmp_path / "fresh").exists()
 
     def test_index_square_cap_is_exact(self):
         cli._check_square(499.999, "999^2 points")
@@ -430,6 +517,35 @@ class TestFrame:
         a_low = outs[0.8]["results"]["estimate"]["A"]
         a_high = outs[1.2]["results"]["estimate"]["A"]
         assert 0 < a_low < a_high
+
+    @pytest.mark.parametrize(
+        "ladder, built",
+        [
+            # the ladder's 16 and 32, then 24, 36 and 48 for the estimate
+            ("16,32,48", [16, 24, 32, 36, 48]),
+            # 24 is also the estimate's N/2
+            ("24,48", [24, 36, 48]),
+        ],
+    )
+    def test_each_degree_solved_once(self, tmp_path, monkeypatch, ladder, built):
+        calls = {"frame_matrix": [], "frame_bounds": []}
+        for module, name in ((sampling, "frame_matrix"), (cli, "frame_bounds")):
+            def counted(gamma, alpha, N, fn=getattr(module, name), name=name):
+                calls[name].append(N)
+                return fn(gamma, alpha, N)
+
+            monkeypatch.setattr(module, name, counted)
+        argv = ["frame", "--density-ratio", "1.2", "--window", "14",
+                "--degree-ladder", ladder, "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert sorted(calls["frame_matrix"]) == built
+        assert calls["frame_bounds"] == [48]
+        ladder = read_report(tmp_path, "frame")["results"]["ladder"]
+        monkeypatch.undo()
+        gamma = scale_lattice_to_density(1.0, 1.2, 14.0)
+        for row in ladder:
+            est = sampling.frame_bounds(gamma, 1.0, row["degree"])
+            assert (row["A"], row["B"]) == (est.A, est.B)
 
     def test_ladder_table_matches_report(self, tmp_path):
         rc = main(

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
@@ -223,6 +223,28 @@ def count_cases(draw):
     else:
         gamma = lattice
     return gamma, r, draw(st.floats(0.1, 1.0))
+
+
+# a few doubles, so that keys and values collide often: the signed zeros,
+# a subnormal and a NaN among them
+MATCH_PARTS = st.sampled_from([0.0, -0.0, 1.0, -2.5, 5e-324, math.nan])
+MATCH_LISTS = st.lists(st.builds(complex, MATCH_PARTS, MATCH_PARTS), max_size=12)
+
+
+class TestMatch:
+    @given(keys=MATCH_LISTS, values=MATCH_LISTS)
+    @example(keys=[], values=[0j, -0.0 + 0j])
+    @example(keys=[complex(-0.0, 0.0)], values=[0j, 0j, 1 + 0j, complex(0.0, -0.0)])
+    def test_agrees_with_brute_force_equality(self, keys, values):
+        distinct = []
+        for k in keys:
+            if not any(k == d for d in distinct):
+                distinct.append(k)
+        keys = np.array(distinct, dtype=complex)
+        values = np.array(values, dtype=complex)
+        want = [(j, i) for j, v in enumerate(values) for i, k in enumerate(keys) if k == v]
+        rows, cols = pointsets._match(keys, values)
+        assert list(zip(rows.tolist(), cols.tolist())) == want
 
 
 class TestPointSet:
