@@ -27,8 +27,8 @@ Data targets follow the weighted convention: a_mn prescribes
 The series is the scaled Cauchy sum ``g(z) sum_i exp(a_i + kappa
 conj(z_i) (z - z_i)) / (z - z_i)``, ``a_i = log(c_i / g'(z_i))``: log g
 and the shifted exponents (see :mod:`fockspace.space`) cancel the large
-opposing exponentials before exponentiation. A node returns its
-coefficient exactly and every other zero of g an exact zero.
+opposing exponentials before exponentiation. A node hit returns its
+coefficient exactly, any other zero of g an exact zero; only the rest is summed.
 
 Both series are truncated by node radius. Residuals are reported over
 the interior (half the truncation radius) only, so truncation effects
@@ -63,7 +63,7 @@ from .errors import (
     ValidationError,
 )
 from .pointsets import PointSet, SquareLattice, _match
-from .space import _check_alpha, _checked_exp, _combine_term_logs, _disk_grid, _log, _monomial_logs
+from .space import _check_alpha, _checked_exp, _combine_term_logs, _disk_grid, _log, _monomial_logs, _norm
 
 __all__ = [
     "InterpolationProblem",
@@ -181,39 +181,38 @@ class _LagrangeBasis:
         cp = canonical_product(gamma, SquareLattice(spacing), 1)
         return cls(cp, nodes, _node_derivative_logs(cp, nodes), kappa), values
 
-    def series(self, coeff_logs: np.ndarray, zs: np.ndarray) -> np.ndarray:
-        """Complex log of ``sum_i c_i L_i`` at ``zs`` in blocks of ``_SERIES_CELLS``
-        cells, each one z - z_i buffer. A hit on node i takes c_i: a zero of g
-        equal to z_i (:func:`pointsets._match`), or a z whose least |z - z_i|
-        is not a normal double, where 1/(z - z_i) could overflow."""
-        glog = _gfun_log_many(self.product, zs)
-        zero = glog.real == -np.inf
-        # Distinct doubles closer than tiny both lie below 2**-969, where the
-        # spacing of doubles drops under tiny: only such z need the check.
-        small = np.minimum(np.abs(zs.real), np.abs(zs.imag)) < 2.0**-969
-        hit = np.full(zs.size, -1)  # the node each z hits, or -1
-        a = (coeff_logs - self.node_dlogs)[:, None]
-        out = np.empty(zs.size, dtype=np.complex128)
-        width = max(1, _SERIES_CELLS // max(self.nodes.size, 1))
-        buf = np.empty((self.nodes.size, min(width, zs.size)), dtype=np.complex128)
-        for start in range(0, zs.size, width):
-            cols = slice(start, start + width)
-            w = np.subtract(zs[cols], self.nodes[:, None], out=buf[:, : zs[cols].size])
-            near = np.flatnonzero(small[cols])
-            dist = np.abs(w[:, near])
-            close = dist.min(axis=0) < _TINY
-            hit[start + near[close]] = dist[:, close].argmin(axis=0)
-            zero[start + near[close]] = True
-            w[:, zero[cols]] = 1.0  # zeros of g, the nodes among them: set below
-            exps = self.kappa * np.conj(self.nodes)[:, None] * w if self.kappa else np.zeros_like(a)
-            exps += a
-            out[cols] = glog[cols] + _combine_term_logs(exps, np.divide(1.0, w, out=w))
-        out[zero] = -np.inf
+    def series(self, coeff_logs: np.ndarray, zs: np.ndarray):
+        """``(logs, hit)``: the complex log of ``sum_i c_i L_i`` at ``zs``, and the
+        node i each z hits, or -1: a zero of g equal to z_i (:func:`pointsets._match`),
+        or a z whose least |z - z_i| is not a normal double, where 1/(z - z_i)
+        could overflow. A hit takes log c_i, any other zero of g -inf; only the
+        rest is summed, in blocks of ``_SERIES_CELLS`` cells, one z - z_i buffer."""
+        out = _gfun_log_many(self.product, zs)
+        zero = out.real == -np.inf
+        hit = np.full(zs.size, -1)
         at = np.flatnonzero(zero)
         found, node = _match(self.nodes, zs[at])
         hit[at[found]] = node
+        # Distinct doubles closer than tiny both lie below 2**-969, where the
+        # spacing of doubles drops under tiny: only such z need the check.
+        small = np.minimum(np.abs(zs.real), np.abs(zs.imag)) < 2.0**-969
+        live = np.flatnonzero(~zero)
+        a = (coeff_logs - self.node_dlogs)[:, None]
+        width = max(1, _SERIES_CELLS // max(self.nodes.size, 1))
+        buf = np.empty((self.nodes.size, min(width, live.size)), dtype=np.complex128)
+        for start in range(0, live.size, width):
+            cols = live[start : start + width]
+            w = np.subtract(zs[cols], self.nodes[:, None], out=buf[:, : cols.size])
+            near = np.flatnonzero(small[cols])
+            dist = np.abs(w[:, near])
+            close = dist.min(axis=0) < _TINY
+            hit[cols[near[close]]] = dist[:, close].argmin(axis=0)
+            w[:, near[close]] = 1.0  # hits, set below
+            exps = self.kappa * np.conj(self.nodes)[:, None] * w if self.kappa else np.zeros_like(a)
+            exps += a
+            out[cols] += _combine_term_logs(exps, np.divide(1.0, w, out=w))
         out[hit >= 0] = coeff_logs[hit[hit >= 0]]
-        return out
+        return out, hit
 
 
 def lagrange_reconstruct(gamma: PointSet, alpha: float, samples: dict, z, truncation_radius: float):
@@ -221,9 +220,9 @@ def lagrange_reconstruct(gamma: PointSet, alpha: float, samples: dict, z, trunca
 
     ``samples`` maps points of gamma to f values and must cover every
     point with ``|z_mn| <= truncation_radius``. The query must stay in
-    the interior ``|z| < truncation_radius / 2``; at a sampled point,
-    matched exactly by :func:`pointsets._match`, the sample itself is
-    returned. Accepts a point or an array of points.
+    the interior ``|z| < truncation_radius / 2``. It returns the sample
+    itself at every hit of the series: a sampled point, or a query a
+    subnormal distance from one. Accepts a point or an array of points.
 
     The series runs on the Lagrange basis shared with the interpolant,
     here ``L_i(z) = g(z) / (g'(z_i) (z - z_i))`` with g the canonical
@@ -263,12 +262,12 @@ def lagrange_reconstruct(gamma: PointSet, alpha: float, samples: dict, z, trunca
             "query points must stay strictly inside half the truncation radius"
         )
     basis, values = _LagrangeBasis.of(gamma, spacing, samples, truncation_radius, "sample", 0.0)
-    logs = basis.series(_log(values), flat)
-    # the sample itself at a sample point; a huge one there is no overflow
-    rows, cols = _match(basis.nodes, flat)
+    logs, hit = basis.series(_log(values), flat)
+    # the sample itself at a hit; a huge one there is no overflow
+    rows = np.flatnonzero(hit >= 0)
     logs[rows] = 0.0
     out = _checked_exp(logs, flat, "reconstruction")
-    out[rows] = values[cols]
+    out[rows] = values[hit[rows]]
     out = out.reshape(zs.shape)
     return complex(out[()]) if zs.ndim == 0 else out
 
@@ -327,7 +326,7 @@ class InterpolantEvaluator:
     def _series(self, zs: np.ndarray) -> np.ndarray:
         """Complex log of ``sum_i a~_i L_i`` at the points ``zs``."""
         coeff_logs = _log(self._targets) + 0.5 * self.problem.alpha * _sq(self._basis.nodes)
-        return self._basis.series(coeff_logs, zs)
+        return self._basis.series(coeff_logs, zs)[0]
 
     def _values(self, z, weight: float):
         """``exp(-weight |z|^2) f(z)`` at a point or an array of points.
@@ -478,4 +477,4 @@ def norm_growth_report(ev: InterpolantEvaluator, N: int) -> NormGrowthReport:
             f"aliased harmonics reach {np.max(tail):.3g} on {n_theta} angles per circle", order=n_theta
         )
     coeffs = np.diagonal(harmonics) / np.exp(np.diagonal(_monomial_logs(alpha, N, rho).real))
-    return NormGrowthReport(float(np.linalg.norm(ev._targets)), float(np.linalg.norm(coeffs)), N)
+    return NormGrowthReport(_norm(ev._targets), _norm(coeffs), N)

@@ -438,10 +438,23 @@ def eval(f: FockFunction, z) -> complex:  # noqa: A001 - public API name
     return complex(out) if zs.ndim == 0 else out
 
 
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm`` of a float or complex vector, taken over the power
+    of two of its largest modulus, so no square overflows or underflows.
+    ``np.ldexp`` scales exactly both ways (``2.0**-e`` overflows for subnormal input)."""
+    v = np.ascontiguousarray(v)
+    top = float(np.max(np.abs(v), initial=0.0))
+    if top == 0.0 or not math.isfinite(top):
+        return top
+    e = int(np.frexp(top)[1])
+    return float(np.ldexp(np.linalg.norm(np.ldexp(v.view(np.float64), -e).view(v.dtype)), e))
+
+
 def norm2(f: FockFunction) -> float:
     """The Hilbert-space norm of ``f``.
 
-    Exact coefficient Pythagoras for the monomial form; for kernel
+    The coefficients' l2 norm for the monomial form, by :func:`_norm`, so
+    only a norm past the double range overflows; for kernel
     combinations the Gram quadratic form is accumulated in the log
     domain so only a genuinely out-of-range norm overflows.
 
@@ -452,7 +465,7 @@ def norm2(f: FockFunction) -> float:
         kernel combination belongs to no point.
     """
     if f.kind == "monomial":
-        return float(np.sqrt(np.sum(np.abs(f.coeffs) ** 2)))
+        return _norm(f.coeffs)
     return float(_checked_exp(0.5 * _inner_log(f, f).real, None, "norm"))
 
 

@@ -784,6 +784,19 @@ class TestInterpolate:
             growth["interpolant_norm"] / growth["data_norm"]
         )
 
+    @pytest.mark.parametrize("target", [1e300, 1e-320])
+    def test_norms_of_extreme_targets_are_finite(self, tmp_path, capsys, target):
+        # their squares overflow or underflow: the norms read Infinity or 0
+        # (ratio null) before, with overflow warnings on stderr
+        problem = write_problem(tmp_path / "p.json", SUB_SPACING, 12.0, lambda z: complex(target))
+        argv = ["interpolate", "--in", str(problem), "--truncation-radius", "10",
+                "--grid=0,1,0,1,1", "--degree", "4", "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        growth = read_report(tmp_path / "out", "interpolate")["results"]["norm_growth"]
+        assert growth["data_norm"] == pytest.approx(9.0 * target, rel=1e-3, abs=0.0)
+        assert 0.0 < growth["interpolant_norm"] < math.inf and 0.1 < growth["ratio"] < 0.2
+
     def test_supercritical_problem_rejected(self, tmp_path, capsys, recon_problem):
         rc = main(
             [

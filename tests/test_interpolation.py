@@ -130,12 +130,15 @@ class TestLagrangeReconstruct:
 
     @pytest.mark.parametrize("node, offset", [(0, 1e-310), (0, 5e-324), (1, 1e-310j)])
     def test_subnormal_offset_from_a_node_returns_sample(self, node, offset):
-        # 1/(z - z_i) overflows at these z; the query is node z_i itself
+        # 1/(z - z_i) overflows at these z; the query is node z_i itself, and
+        # the sample comes back, not exp(log v), which misses most normal draws
         gamma = super_lattice()
-        samples = samples_for(gamma, lambda p: 1.0 / (1.0 + abs(p)), 8.0)
+        rng = np.random.default_rng(7)
         z_i = complex(node * SUPER_SPACING, 0.0)
-        got = lagrange_reconstruct(gamma, ALPHA, samples, z_i + offset, 8.0)
-        assert got == samples[z_i]
+        for fn in (lambda p: 1.0 / (1.0 + abs(p)), lambda p: complex(*rng.normal(size=2))):
+            samples = samples_for(gamma, fn, 8.0)
+            got = lagrange_reconstruct(gamma, ALPHA, samples, z_i + offset, 8.0)
+            assert got == samples[z_i]
 
     def test_sample_points_in_linear_memory(self):
         # exact hits are matched by sorting, not in a nodes x hits array:
@@ -496,6 +499,17 @@ class TestResidualCheck:
         assert r14 < r10 or max(r10, r14) <= 1e-12
 
 
+    def test_interior_nodes_form_no_cauchy_cell(self, monkeypatch):
+        # every interior node is a hit of the series, decided before the
+        # sum; it used to form a full column of the Cauchy sum and drop it
+        cells = []
+        combine = interpolation._combine_term_logs
+        monkeypatch.setattr(
+            interpolation, "_combine_term_logs", lambda exps, w: cells.append(w.size) or combine(exps, w)
+        )
+        assert residual_check(build_interpolant(sub_problem(10.0), 10.0)) == 1.0990647210786425e-15
+        assert cells == []
+
     def test_interior_nodes_in_linear_memory(self):
         # every interior node is a zero of g, matched by sorting: 21.8 MiB
         # in a nodes x hits array before
@@ -556,6 +570,20 @@ class TestNormGrowth:
         )
         rep = norm_growth_report(build_interpolant(prob, 7.0), 8)
         assert rep.interpolant_norm >= 1.0 - 1e-3
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-320])
+    def test_norms_neither_overflow_nor_underflow(self, scale):
+        # the squares of these targets pass the double range either way
+        gamma = sub_lattice()
+        inside = np.abs(gamma.points) <= 7.0
+        data = {complex(p): 1.0 + 0j for p in gamma.points[inside]}
+        prob = InterpolationProblem(gamma=gamma, alpha=ALPHA, lattice_spacing=SUB_SPACING, data=data)
+        ev = build_interpolant(prob, 7.0)
+        unit = norm_growth_report(ev, 4)
+        rep = norm_growth_report(ev.with_data({p: scale * v for p, v in data.items()}), 4)
+        assert rep.data_norm == pytest.approx(scale * unit.data_norm, rel=1e-15, abs=0.0)
+        # a subnormal interpolant keeps about four digits
+        assert rep.ratio == pytest.approx(unit.ratio, rel=1e-12 if scale > 1.0 else 1e-3)
 
     def test_rejects_negative_degree(self):
         ev = build_interpolant(sub_problem(6.0), 6.0)
@@ -707,7 +735,7 @@ def assert_series_agree(basis, coeff_logs, zs):
     """The scaled Cauchy sum matches the log-domain oracle: weighted
     values within 1e-13 of the larger weighted value."""
     weight = 0.5 * ALPHA * np.abs(zs) ** 2
-    new = np.exp(basis.series(coeff_logs, zs) - weight)
+    new = np.exp(basis.series(coeff_logs, zs)[0] - weight)
     old = np.exp(reference_series(basis, coeff_logs, zs) - weight)
     scale = max(np.max(np.abs(new)), np.max(np.abs(old)))
     assert np.max(np.abs(new - old)) <= 1e-13 * scale
@@ -721,7 +749,7 @@ class TestScaledCauchySeries:
     def test_node_hits_are_bit_exact(self, ratio):
         basis, coeff_logs = series_case(ratio, 0.2, 3, 8.0)
         picks = np.flatnonzero(np.abs(basis.nodes) <= 4.0)
-        assert np.array_equal(basis.series(coeff_logs, basis.nodes[picks]), coeff_logs[picks])
+        assert np.array_equal(basis.series(coeff_logs, basis.nodes[picks])[0], coeff_logs[picks])
         assert_series_agree(basis, coeff_logs, np.concatenate([disk_grid(4.0, 0.5), basis.nodes[picks]]))
 
     @REGIMES
@@ -745,7 +773,7 @@ class TestScaledCauchySeries:
         # it holds to about 745 ulps.
         basis, coeff_logs = series_case(ratio, 0.0, 0, 8.0)
         zs = np.array([z, 0.7 - 1.1j])
-        got = np.exp(basis.series(coeff_logs, zs))
+        got = np.exp(basis.series(coeff_logs, zs)[0])
         want = np.exp(reference_series(basis, coeff_logs, zs))
         assert got[0] == np.exp(coeff_logs[basis.nodes == 0][0])
         assert np.max(np.abs(got - want)) <= 2 * 745 * np.finfo(float).eps * np.max(np.abs(want))
@@ -755,7 +783,7 @@ class TestScaledCauchySeries:
         basis, coeff_logs = series_case(ratio, 0.2, 5, 6.0)
         pts = basis.product.gamma.points
         beyond = pts[(np.abs(pts) > 6.0) & (np.abs(pts) < 8.0)]
-        got = basis.series(coeff_logs, beyond)
+        got = basis.series(coeff_logs, beyond)[0]
         assert beyond.size and np.all(got.real == -np.inf) and np.all(np.exp(got) == 0)
         assert_series_agree(basis, coeff_logs, np.concatenate([disk_grid(3.0, 0.5), beyond]))
 

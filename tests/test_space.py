@@ -215,6 +215,23 @@ class TestNorm2:
         f = FockFunction.monomial(2.0, [3.0, 4.0j])
         assert space.norm2(f) == 5.0
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_pythagoras_past_the_squares_range(self, scale):
+        f = FockFunction.monomial(1.0, [scale, scale])
+        assert space.norm2(f) == pytest.approx(math.sqrt(2.0) * scale, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-320])
+    def test_scaled_norm(self, scale):
+        # the squares of these pass the double range either way; vectors
+        # of ordinary size keep np.linalg.norm's bits
+        rel = 1e-15 if scale > 1.0 else 1e-3
+        v = np.full(81, scale * (0.6 + 0.8j))
+        assert space._norm(v) == pytest.approx(9.0 * scale, rel=rel, abs=0.0)
+        assert space._norm(v.real) == pytest.approx(5.4 * scale, rel=rel, abs=0.0)
+        w = np.random.default_rng(3).normal(size=(2, 50))
+        assert space._norm(w[0]) == np.linalg.norm(w[0])
+        assert space._norm(w[0] + 1j * w[1]) == np.linalg.norm(w[0] + 1j * w[1])
+
     def test_kernel_norm_identity(self):
         # ||K(., zeta)||^2 == K(zeta, zeta)
         for zeta in [0.3, 1 + 1j, -2.5j, 2.9, 1.7 - 2.1j]:
