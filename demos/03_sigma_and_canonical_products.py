@@ -11,6 +11,10 @@ series; its weighted modulus at the critical parameter is doubly
 periodic, which is the engine behind the growth bounds. A perturbed
 set's product is sigma times a finite product of ratios, one per
 displaced or missing point.
+
+Every log function takes a point or an array of points and returns one
+complex log per point: real part log|.| (-inf at an exact zero), and
+imaginary part the phase.
 """
 
 import math
@@ -33,9 +37,9 @@ lat = SquareLattice(1.0)
 # sigma vanishes exactly on the lattice: an exact zero is encoded as
 # log magnitude -inf. sigma has no truncation to choose.
 v = sigma_log(lat, lat.point(3, -2))
-print("sigma at the lattice point (3,-2):", v.log_mag, "(exact zero)")
+print("sigma at the lattice point (3,-2):", v.real, "(exact zero)")
 v = sigma_log(lat, 0.5 + 0.5j)
-print("sigma at the deep cell point 0.5+0.5i:", v.to_complex())
+print("sigma at the deep cell point 0.5+0.5i:", np.exp(v))
 
 # Quasi-period constants: shifting by one spacing multiplies sigma by
 # a controlled exponential. The two constants, pi/s and -i*pi/s, satisfy
@@ -50,10 +54,11 @@ print("  |eta1*(is) - eta2*s - 2*pi*i| =", abs(eta1 * 1j - eta2 - 2j * math.pi))
 alpha_crit = math.pi
 print("weighted modulus e^{-pi|z|^2/2}|sigma(z)| over one period:")
 z0 = 0.31 + 0.17j
-for p in (0.0, 1.0, 1.0j, 3.0 + 2.0j):
-    lg = sigma_log(lat, z0 + p)
-    wm = math.exp(lg.log_mag - alpha_crit * abs(z0 + p) ** 2 / 2)
-    print(f"  at z0 + {p}: {wm:.15f}")
+periods = np.array([0.0, 1.0, 1.0j, 3.0 + 2.0j])
+zs = z0 + periods
+wm = np.exp(sigma_log(lat, zs).real - alpha_crit * np.abs(zs) ** 2 / 2)
+for p, w in zip(("0", "1", "i", "3+2i"), wm):
+    print(f"  at z0 + {p}: {w:.15f}")
 
 # A canonical product generalizes sigma to perturbed zero sets: linear
 # factors use the actual zeros, the quadratic convergence exponents
@@ -64,10 +69,13 @@ cp = canonical_product(gamma, lat)
 node = gamma.points[
     np.flatnonzero((gamma.indices[:, 0] == 2) & (gamma.indices[:, 1] == 1))
 ][0]
+g = gfun_log(cp, np.array([node, 0.4 + 0.3j]))
+dg = gfun_derivative_at_node(cp, np.array([node, cp.z00]))
 print("canonical product for a perturbed lattice:")
-print("  g at its zero nearest (2,1):", gfun_log(cp, complex(node)).log_mag)
-print("  g at 0.4+0.3j:", gfun_log(cp, 0.4 + 0.3j).to_complex())
-print("  g'(z_21) via factor product:", gfun_derivative_at_node(cp, (2, 1)).to_complex())
+print("  g at its zero nearest (2,1):", g[0].real)
+print("  g at 0.4+0.3j:", np.exp(g[1]))
+print("  g'(z_21) via factor product:", np.exp(dg[0]))
+print(f"  g' at its zero nearest the origin, {cp.z00:.4f}:", np.exp(dg[1]))
 
 # The two-sided growth fit certifies that the weighted modulus stays
 # between dist-to-the-zero-set and a slowly growing envelope.

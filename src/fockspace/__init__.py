@@ -40,7 +40,6 @@ from .sampling import (
 )
 from .space import (
     FockFunction,
-    LogComplex,
     concentration_radius,
     eval_weighted,
     eval_weighted_log,
@@ -61,7 +60,6 @@ __all__ = [
     "GrowthBoundFit",
     "InterpolantEvaluator",
     "InterpolationProblem",
-    "LogComplex",
     "NormGrowthReport",
     "PointSet",
     "SquareLattice",

@@ -23,10 +23,10 @@ import numpy as np
 
 from . import __version__
 from .canonical import (
-    _sigma_log_many,
     canonical_product,
     growth_check,
     quasi_period_constants,
+    sigma_log,
 )
 from .errors import NumericalDiagnosticError, ValidationError
 from .interpolation import (
@@ -323,11 +323,7 @@ def _cmd_interpolate(args):
 def _cmd_sigma_grid(args):
     grid = _parse_grid(args.grid)
     lattice = SquareLattice(args.spacing)
-    with np.errstate(over="ignore", invalid="ignore"):  # caught just below
-        logs = _sigma_log_many(lattice.spacing, grid)
-    bad = np.isnan(logs.real) | (logs.real == math.inf)
-    if np.any(bad):
-        raise ValidationError(f"log_mag must be finite or -inf, got {logs.real[bad][0]}")
+    logs = sigma_log(lattice, grid)
     eta1, eta2 = quasi_period_constants(lattice)
     results = {
         "spacing": args.spacing,

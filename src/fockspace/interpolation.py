@@ -51,9 +51,9 @@ from numpy.fft import fft
 
 from .canonical import (
     CanonicalProduct,
-    _gfun_log_many,
-    _node_derivative_logs,
     canonical_product,
+    gfun_derivative_at_node,
+    gfun_log,
 )
 from .errors import (
     DensityOrderViolated,
@@ -63,7 +63,9 @@ from .errors import (
     ValidationError,
 )
 from .pointsets import PointSet, SquareLattice, _match
-from .space import _check_alpha, _checked_exp, _combine_term_logs, _disk_grid, _log, _monomial_logs, _norm
+from .space import (
+    _BELOW_TINY_GAP, _TINY, _check_alpha, _checked_exp, _combine_term_logs, _disk_grid, _log, _monomial_logs, _norm
+)
 
 __all__ = [
     "InterpolationProblem",
@@ -78,7 +80,6 @@ __all__ = [
 _CRITICAL_BAND = 1e-9
 # basis cells (nodes x points) per block of a series sum: 512 kB of terms
 _SERIES_CELLS = 1 << 15
-_TINY = np.finfo(np.float64).tiny
 
 
 def _sq(z):
@@ -179,7 +180,7 @@ class _LagrangeBasis:
         nodes, values = _gather(gamma, data, radius, what)
         # the ignored third argument is read by perfbench's span counter
         cp = canonical_product(gamma, SquareLattice(spacing), 1)
-        return cls(cp, nodes, _node_derivative_logs(cp, nodes), kappa), values
+        return cls(cp, nodes, gfun_derivative_at_node(cp, nodes), kappa), values
 
     def series(self, coeff_logs: np.ndarray, zs: np.ndarray):
         """``(logs, hit)``: the complex log of ``sum_i c_i L_i`` at ``zs``, and the
@@ -187,15 +188,14 @@ class _LagrangeBasis:
         or a z whose least |z - z_i| is not a normal double, where 1/(z - z_i)
         could overflow. A hit takes log c_i, any other zero of g -inf; only the
         rest is summed, in blocks of ``_SERIES_CELLS`` cells, one z - z_i buffer."""
-        out = _gfun_log_many(self.product, zs)
+        out = gfun_log(self.product, zs)
         zero = out.real == -np.inf
         hit = np.full(zs.size, -1)
         at = np.flatnonzero(zero)
         found, node = _match(self.nodes, zs[at])
         hit[at[found]] = node
-        # Distinct doubles closer than tiny both lie below 2**-969, where the
-        # spacing of doubles drops under tiny: only such z need the check.
-        small = np.minimum(np.abs(zs.real), np.abs(zs.imag)) < 2.0**-969
+        # only z with a coordinate below _BELOW_TINY_GAP can lie closer than tiny
+        small = np.minimum(np.abs(zs.real), np.abs(zs.imag)) < _BELOW_TINY_GAP
         live = np.flatnonzero(~zero)
         a = (coeff_logs - self.node_dlogs)[:, None]
         width = max(1, _SERIES_CELLS // max(self.nodes.size, 1))

@@ -17,17 +17,18 @@ Quantities carrying the factors ``exp(+-alpha |z|^2 / 2)`` are evaluated
 in log form throughout, so no intermediate overflows even when the plain
 function value would.
 
-Inside the package an array of values in log form is one complex array:
-its real part is ``log|.|``, ``-inf`` for an exact zero, and its
-imaginary part is the phase. Products are sums of such arrays, and
-:func:`_combine_term_logs` is the one log-sum-exp that adds terms up
-(times plain factors in the Lagrange series' scaled Cauchy sum); every
-function value, plain or weighted, is reduced there by
-:func:`_eval_weighted_log_many`. Every plain value leaves the log domain
-through :func:`_checked_exp`, the one guarded exponential, whose
-:class:`Overflow` carries ``log_mag`` and, where the value belongs to a
-point, ``radius``. :class:`LogComplex` is the scalar log form the public
-API returns; it does no arithmetic.
+Every value in log form is one complex number or array: its real part
+is ``log|.|``, ``-inf`` (phase 0) for an exact zero, and its imaginary
+part is the phase. A public log function takes a point or an array of
+points and returns a ``complex`` or an array of their shape, through
+:func:`_log_values`, which rejects a NaN or ``+inf`` log modulus.
+Products are sums of such arrays, and :func:`_combine_term_logs` is the
+one log-sum-exp that adds terms up (times plain factors in the Lagrange
+series' scaled Cauchy sum); every function value, plain or weighted, is
+reduced there by :func:`eval_weighted_log`. Every plain value leaves the
+log domain through :func:`_checked_exp`, the one guarded exponential,
+whose :class:`Overflow` carries ``log_mag`` and, where the value belongs
+to a point, ``radius``.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .pointsets import _has_repeats
 
 __all__ = [
     "MAX_EXP",
-    "LogComplex",
     "FockFunction",
     "reduce_phase",
     "kernel",
@@ -58,6 +58,12 @@ __all__ = [
 # exp() overflows to Inf just above 709.78; stay clear of the edge with
 # some headroom.
 MAX_EXP = 700.0
+# The least normal double. Two distinct doubles closer than it have a
+# coordinate below 2**-969 each, where the spacing of doubles drops
+# under it; 2**600 scales such a difference to a normal double exactly.
+_TINY = float(np.finfo(np.float64).tiny)
+_BELOW_TINY_GAP = 2.0**-969
+_LOG_2_600 = 600.0 * math.log(2.0)
 
 
 def reduce_phase(phi):
@@ -81,35 +87,14 @@ def _finite_point(z, name: str) -> complex:
     return z
 
 
-@dataclass(frozen=True)
-class LogComplex:
-    """Complex value stored as log-modulus and phase.
-
-    ``log_mag`` is the natural logarithm of the modulus, with ``-inf``
-    encoding an exact zero. ``phase`` is reduced to (-pi, pi] on
-    construction, and forced to 0 for the exact zero.
-    """
-
-    log_mag: float
-    phase: float
-
-    def __post_init__(self):
-        lm = float(self.log_mag)
-        if math.isnan(lm) or lm == math.inf:
-            raise ValidationError(f"log_mag must be finite or -inf, got {lm}")
-        ph = 0.0 if lm == -math.inf else float(reduce_phase(float(self.phase)))
-        object.__setattr__(self, "log_mag", lm)
-        object.__setattr__(self, "phase", ph)
-
-    def to_complex(self) -> complex:
-        """Convert to a plain complex number.
-
-        Raises
-        ------
-        Overflow
-            As :func:`_checked_exp`; field ``log_mag`` only (no point).
-        """
-        return complex(_checked_exp(np.complex128(self.log_mag, self.phase), None, "value"))
+def _log_values(logs: np.ndarray):
+    """``logs`` in the public log form, a ``complex`` for a 0-d array;
+    :class:`ValidationError` where a log modulus is NaN or ``+inf``."""
+    # one pass: the max is NaN or +inf exactly when some log modulus is
+    if not np.max(logs.real, initial=-math.inf) < math.inf:
+        bad = logs.real[np.isnan(logs.real) | (logs.real == math.inf)]
+        raise ValidationError(f"log_mag must be finite or -inf, got {float(bad[0])}")
+    return complex(logs) if logs.ndim == 0 else logs
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -267,11 +252,18 @@ def _log(values) -> np.ndarray:
     """Complex log of an array, ``-inf`` (phase 0) at exact zeros.
 
     Assembled from ``log|.|`` and the angle, which is about ten times
-    faster than numpy's complex log on the same array.
+    faster than numpy's complex log on the same array. A subnormal
+    modulus keeps only a few digits, so where ``|.|`` is subnormal the
+    value is scaled by ``2**600`` first, which is exact.
     """
     values = np.asarray(values, dtype=np.complex128)
-    with np.errstate(divide="ignore"):
-        return np.log(np.abs(values)) + 1j * np.angle(values)
+    mod = np.abs(values)
+    with np.errstate(divide="ignore", over="ignore"):  # the scaled large values go unused
+        out = np.log(mod)
+        if np.min(mod, initial=np.inf) < _TINY:
+            sub = (mod < _TINY) & (mod > 0.0)
+            out = np.where(sub, np.log(np.abs(values * 2.0**600)) - _LOG_2_600, out)
+    return out + 1j * np.angle(values)
 
 
 def _log1p(values) -> np.ndarray:
@@ -336,15 +328,15 @@ def _monomial_logs(alpha: float, N: int, zs) -> np.ndarray:
     """
     zs = np.asarray(zs, dtype=np.complex128)
     n = np.arange(N + 1)
-    az = np.abs(zs)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        radial = np.where(n[None, :] == 0, 0.0, n[None, :] * np.log(az)[:, None])
+    log_z = _log(zs)
+    with np.errstate(invalid="ignore"):
+        radial = np.where(n[None, :] == 0, 0.0, n[None, :] * log_z.real[:, None])
     log_mag = (
         0.5 * (n[None, :] * math.log(alpha) - _log_factorials(N)[None, :])
         + radial
-        - 0.5 * alpha * az[:, None] ** 2
+        - 0.5 * alpha * np.abs(zs)[:, None] ** 2
     )
-    return log_mag + 1j * (n[None, :] * np.angle(zs)[:, None])
+    return log_mag + 1j * (n[None, :] * log_z.imag[:, None])
 
 
 def _weighted_term_logs(f: FockFunction, zs: np.ndarray) -> np.ndarray:
@@ -367,23 +359,31 @@ def _combine_term_logs(logs: np.ndarray, factors: np.ndarray | None = None) -> n
     The reduction subtracts the per-column maximum of ``log|.|`` before
     exponentiating, so the sum is exact to rounding whenever the true
     total is representable in log form. A column without terms, or
-    with only exact zeros, sums to an exact zero. Summation order is
-    fixed by the input shape, which keeps repeated runs bit-identical.
+    with only exact zeros, sums to an exact zero. Each column of a 2-D
+    block is summed term after term, whatever the block's width or
+    layout, so a column's value does not depend on the columns beside it.
 
     Plain ``factors`` (1/(z - z_i) in the scaled Cauchy sum) multiply the
     exponentiated terms; ``logs`` broadcasts to them, and both are overwritten.
     """
     top = np.max(logs.real, axis=0, initial=-np.inf)
     safe_top = np.where(np.isfinite(top), top, 0.0)
-    scaled = logs - safe_top if factors is None else np.subtract(logs, safe_top, out=logs)
+    # C order: numpy sums a row-major block row by row
+    scaled = np.subtract(logs, safe_top, out=None if factors is None else logs, order="C")
     np.exp(scaled, out=scaled)
     if factors is not None:
         scaled = np.multiply(factors, scaled, out=factors)
+    if scaled.ndim == 2 and scaled.shape[1] == 1 and len(scaled):
+        # numpy would sum a lone column pairwise
+        return safe_top + _log(np.cumsum(scaled, axis=0)[-1])
     return safe_top + _log(np.sum(scaled, axis=0))
 
 
-def _eval_weighted_log_many(f: FockFunction, zs: np.ndarray) -> np.ndarray:
-    """Complex logs of the weighted values at the complex128 points ``zs``, any shape."""
+def eval_weighted_log(f: FockFunction, z):
+    """Log form of ``exp(-alpha |z|^2 / 2) f(z)`` at a point or an array of
+    points: a ``complex``, or an array of their shape (module docstring).
+    Raises :class:`ValidationError` if some point is not finite."""
+    zs = np.asarray(z, dtype=np.complex128)
     if not np.all(np.isfinite(zs)):
         raise ValidationError("evaluation points must be finite")
     flat = zs.ravel()
@@ -393,13 +393,7 @@ def _eval_weighted_log_many(f: FockFunction, zs: np.ndarray) -> np.ndarray:
     for start in range(0, flat.size, chunk):
         part = flat[start : start + chunk]
         logs[start : start + chunk] = _combine_term_logs(_weighted_term_logs(f, part))
-    return logs.reshape(zs.shape)
-
-
-def eval_weighted_log(f: FockFunction, z: complex) -> LogComplex:
-    """Log form of ``exp(-alpha |z|^2 / 2) f(z)``."""
-    val = complex(_eval_weighted_log_many(f, np.complex128(z)))
-    return LogComplex(val.real, val.imag)
+    return _log_values(logs.reshape(zs.shape))
 
 
 def eval_weighted(f: FockFunction, z) -> complex:
@@ -416,7 +410,7 @@ def eval_weighted(f: FockFunction, z) -> complex:
         log-safe range.
     """
     zs = np.asarray(z, dtype=np.complex128)
-    out = _checked_exp(_eval_weighted_log_many(f, zs), zs, "weighted value")
+    out = _checked_exp(np.asarray(eval_weighted_log(f, zs)), zs, "weighted value")
     return complex(out) if zs.ndim == 0 else out
 
 
@@ -430,10 +424,12 @@ def eval(f: FockFunction, z) -> complex:  # noqa: A001 - public API name
     Overflow
         As :func:`_checked_exp`, when some ``|f(z)|`` exceeds the log-safe
         range; fields ``log_mag`` and ``radius``. :func:`eval_weighted_log`
-        gives the bounded weighted value.
+        gives the bounded weighted value's log form at the same points.
+    ValidationError
+        As :func:`eval_weighted_log`.
     """
     zs = np.asarray(z, dtype=np.complex128)
-    logs = _eval_weighted_log_many(f, zs) + 0.5 * f.alpha * (zs.real**2 + zs.imag**2)
+    logs = np.asarray(eval_weighted_log(f, zs)) + 0.5 * f.alpha * (zs.real**2 + zs.imag**2)
     out = _checked_exp(logs, zs, "value")
     return complex(out) if zs.ndim == 0 else out
 

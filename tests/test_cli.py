@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -897,6 +898,20 @@ class TestSigmaGrid:
         doc = error_doc(capsys)
         assert doc["error"] == "ValidationError"
         assert "log_mag" in doc["message"]
+
+    def test_point_past_the_cell_reduction_exits_2_without_files(self, tmp_path, capsys):
+        out = tmp_path / "fresh"
+        z = "-8.75298654761914e17,-8.75298654761914e17,-4.835827384967164e17,-4.835827384967164e17,1"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["sigma-grid", "--spacing", "1.0471975511965976", f"--grid={z}", "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            '{"error": "ValidationError", "message": "log_mag must be finite or -inf, got nan"}\n'
+        )
 
 
 class TestGrowthCheck:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fockspace import interpolation
-from fockspace.canonical import _gfun_log_many
+from fockspace.canonical import gfun_log
 from fockspace.errors import (
     DensityOrderViolated,
     MissingSamples,
@@ -27,7 +27,7 @@ from fockspace.interpolation import (
     residual_check,
 )
 from fockspace.pointsets import PointSet, perturb, scale_lattice_to_density, square_lattice
-from fockspace.space import MAX_EXP, _combine_term_logs, _log
+from fockspace.space import MAX_EXP, FockFunction, _combine_term_logs, _log, eval_weighted
 
 ALPHA = 1.0
 SUPER_SPACING = math.sqrt(math.pi / 1.5)
@@ -625,7 +625,7 @@ def basis_logs(basis, zs):
     (node, point) cell. At ``z = z_i`` row i holds ``L_i = 1`` exactly
     and every other row an exact zero.
     """
-    glog = _gfun_log_many(basis.product, zs)
+    glog = gfun_log(basis.product, zs)
     out = np.empty((basis.nodes.size, zs.size), dtype=np.complex128)
     for i, node in enumerate(basis.nodes):
         w = zs - node
@@ -823,3 +823,29 @@ class TestScaledCauchySeries:
         new = lagrange_reconstruct(basis.product.gamma, ALPHA, samples, grid, 10.0)
         old = np.exp(reference_series(basis, coeff_logs, grid))
         assert np.max(weight * np.abs(new - want)) <= np.max(weight * np.abs(old - want))
+
+
+def _batch_case(case):
+    """A value function and 200 seeded query points for each batch case."""
+    rng = np.random.default_rng(20)
+    zs = rng.uniform(-4.0, 4.0, 200) + 1j * rng.uniform(-4.0, 4.0, 200)
+    if case == "interpolant":
+        # the exact density-0.8 lattice of window 12, truncation radius 10
+        return build_interpolant(sub_problem(10.0, seed=3, window=12.0), 10.0).eval, zs
+    c = np.array([1.0, 1j]) @ rng.uniform(-1, 1, (2, 40))
+    if case == "kernel":
+        nodes = rng.uniform(-3, 3, 40) + 1j * rng.uniform(-3, 3, 40)
+        f = FockFunction.kernel_combo(ALPHA, nodes, c)
+    else:
+        f = FockFunction.monomial(ALPHA, c[:30])
+    return (lambda z: eval_weighted(f, z)), zs
+
+
+@pytest.mark.parametrize("case", ["interpolant", "kernel", "monomial"])
+def test_a_value_does_not_depend_on_its_batch(case):
+    # the log-sum-exp sums every column term after term: a lone point is
+    # not summed pairwise, nor a column-major block of terms
+    value, zs = _batch_case(case)
+    batch = value(zs)
+    alone = np.array([value(z) for z in zs])
+    assert np.array_equal(alone.view(np.uint64), batch.view(np.uint64))

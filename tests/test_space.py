@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from fockspace import errors, space
-from fockspace.space import FockFunction, LogComplex
+from fockspace.space import FockFunction, _checked_exp, _log_values
 
 
 # nan and +-inf in either part of a point
@@ -45,33 +45,62 @@ def direct_monomial(f, zs):
     return out
 
 
-class TestLogComplex:
+class TestLogForm:
+    """The one complex log form: real part log|.|, -inf (phase 0) at an
+    exact zero, imaginary part the phase."""
+
     def test_phase_reduction(self):
-        assert LogComplex(0.0, -math.pi).phase == pytest.approx(math.pi)
-        assert LogComplex(0.0, 3 * math.pi).phase == pytest.approx(math.pi)
-        assert LogComplex(0.0, 0.3).phase == pytest.approx(0.3)
-        assert LogComplex(0.0, 2 * math.pi + 0.3).phase == pytest.approx(0.3)
+        assert space.reduce_phase(-math.pi) == pytest.approx(math.pi)
+        assert space.reduce_phase(3 * math.pi) == pytest.approx(math.pi)
+        assert space.reduce_phase(0.3) == pytest.approx(0.3)
+        assert space.reduce_phase(2 * math.pi + 0.3) == pytest.approx(0.3)
 
     def test_zero_encoding(self):
-        z = LogComplex(-math.inf, 1.0)
-        assert z.log_mag == -math.inf
-        assert z.phase == 0.0
-        assert z.to_complex() == 0j
+        f = FockFunction.monomial(1.0, [0.0, 0.0])
+        z = space.eval_weighted_log(f, 0.5 + 0.25j)
+        assert type(z) is complex
+        assert z.real == -math.inf
+        assert z.imag == 0.0
+        assert cmath.exp(z) == 0j
+        zs = space.eval_weighted_log(f, np.array([[0.5, 1j]]))
+        assert zs.shape == (1, 2)
+        assert np.all(np.isneginf(zs.real)) and np.all(zs.imag == 0.0)
 
     def test_round_trip(self):
-        w = 2.5 * cmath.exp(1j * 0.7)
-        back = LogComplex(math.log(2.5), 0.7).to_complex()
+        f = combo(0.9, [0.4 - 0.3j, -1.1j], [2.5 * cmath.exp(0.7j), -0.6])
+        z = 0.8 + 0.2j
+        w = space.eval_weighted(f, z)
+        back = cmath.exp(space.eval_weighted_log(f, z))
         assert abs(back - w) <= 1e-15 * abs(w)
 
+    def test_subnormal_modulus_keeps_its_digits(self):
+        # |.| of this value rounds to a subnormal of about eight digits
+        v = complex(-1.5233935e-316, 7.1336513e-317)
+        with mpmath.workdps(40):
+            want = float(mpmath.log(abs(mpmath.mpc(v.real, v.imag))))
+        got = space._log(np.array([v, 0.0, 1.0, -1e300j]))
+        assert abs(got[0].real - want) <= 2e-16 * abs(want)
+        assert got[0].imag == cmath.phase(v)
+        assert got[1] == complex(-math.inf, 0.0) and got[2] == 0j
+        assert got[3] == complex(math.log(1e300), -math.pi / 2)
+        # e_1(v) = v, the monomial engine's log|z|
+        lg = space.eval_weighted_log(FockFunction.monomial(1.0, [0.0, 1.0]), v)
+        assert abs(lg.real - want) <= 2e-16 * abs(want)
+
     def test_overflow_guard(self):
-        # the value belongs to no point, so no radius
+        # a value that belongs to no point has no radius
         with pytest.raises(errors.Overflow) as info:
-            LogComplex(800.0, 0.0).to_complex()
+            _checked_exp(np.complex128(800.0), None, "value")
         assert info.value.fields == {"log_mag": 800.0}
 
     def test_rejects_nan(self):
-        with pytest.raises(errors.ValidationError):
-            LogComplex(math.nan, 0.0)
+        # NaN and +inf; -inf is an exact zero and passes
+        for bad in (math.nan, math.inf):
+            with pytest.raises(errors.ValidationError, match="^log_mag must be finite or -inf"):
+                _log_values(np.complex128(complex(bad, 0.0)))
+            with pytest.raises(errors.ValidationError, match=f"got {bad}$"):
+                _log_values(np.array([0.0, -math.inf, complex(bad, 1.0)]))
+        assert _log_values(np.complex128(complex(-math.inf, 0.0))) == complex(-math.inf, 0.0)
 
 
 class TestLogFactorials:
@@ -169,7 +198,7 @@ class TestEval:
         c = rng.normal(size=9) + 1j * rng.normal(size=9)
         f = FockFunction.monomial(0.7, c) if kind == "monomial" else combo(0.7, 3.0 * c, c[::-1])
         for z in rng.uniform(-6, 6, 20) + 1j * rng.uniform(-6, 6, 20):
-            for value in (space.eval_weighted, space.eval):
+            for value in (space.eval_weighted_log, space.eval_weighted, space.eval):
                 one = value(f, z)
                 assert type(one) is complex
                 assert one == value(f, np.array([z]))[0]
@@ -189,15 +218,15 @@ class TestEval:
         f = FockFunction.monomial(1.0, [1.0, 2.0])
         with pytest.raises(errors.ValidationError, match="evaluation points must be finite"):
             getattr(space, value)(f, bad)
-        if value != "eval_weighted_log":
-            with pytest.raises(errors.ValidationError, match="evaluation points must be finite"):
-                getattr(space, value)(f, np.array([0.5, bad]))
+        with pytest.raises(errors.ValidationError, match="evaluation points must be finite"):
+            getattr(space, value)(f, np.array([0.5, bad]))
 
     def test_kernel_combo_weighted_log(self):
         # far node: weighted value huge but representable in log form
         f = combo(1.0, [30.0], [1.0])
-        lg = space.eval_weighted_log(f, 30.0)
-        assert lg.log_mag == pytest.approx(450.0)
+        lg = space.eval_weighted_log(f, np.array([30.0, -30.0]))
+        assert lg[0].real == pytest.approx(450.0)
+        assert lg[1].real == pytest.approx(-1350.0)
 
 
 class TestNorm2:
